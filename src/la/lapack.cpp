@@ -32,6 +32,25 @@ int potf2_lower(Span2D<T> a) {
 
 constexpr std::size_t kPotrfBlock = 96;
 
+/// Stopping test of the truncated pivoted QR before step k: is the exact
+/// trailing mass ||A(k:m, k:n)||_F^2 <= stop2? The downdated partial norms
+/// drift, so they only trigger the check (with 4x slack) and the exact sum
+/// decides. The test only reads, so a truncated factorization is bitwise the
+/// first r steps of the full one.
+template <typename T>
+bool trailing_mass_within(Span2D<const T> a, std::size_t k, const std::vector<T>& norms,
+                          T stop2) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  T est{};
+  for (std::size_t j = k; j < n; ++j) est += norms[j] * norms[j];
+  if (est > T{4} * stop2) return false;
+  T mass{};
+  for (std::size_t j = k; j < n; ++j)
+    for (std::size_t i = k; i < m; ++i) mass += a(i, j) * a(i, j);
+  return mass <= stop2;
+}
+
 }  // namespace
 
 template <typename T>
@@ -133,10 +152,13 @@ template void qr_factor<double>(Span2D<double>, Matrix<double>&);
 template void qr_factor<float>(Span2D<float>, Matrix<float>&);
 
 template <typename T>
-void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm) {
+std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm,
+                       T stop_tol) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   GSX_REQUIRE(m >= n, "qr_pivoted: requires m >= n");
+  const bool truncate = stop_tol >= T{0};
+  const T stop2 = stop_tol * stop_tol;
 
   perm.resize(n);
   for (std::size_t j = 0; j < n; ++j) perm[j] = j;
@@ -151,7 +173,12 @@ void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm) {
     norms0[j] = norms[j];
   }
 
+  std::size_t r = n;  // reflectors applied
   for (std::size_t k = 0; k < n; ++k) {
+    if (truncate && trailing_mass_within(Span2D<const T>(a), k, norms, stop2)) {
+      r = k;
+      break;
+    }
     // Pivot: residual column of largest norm.
     std::size_t p = k;
     for (std::size_t j = k + 1; j < n; ++j)
@@ -203,12 +230,13 @@ void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm) {
     }
   }
 
-  // Accumulate thin Q (same back-substitution as qr_factor).
-  q.resize(m, n);
-  for (std::size_t j = 0; j < n; ++j) q(j, j) = T{1};
-  for (std::size_t k = n; k-- > 0;) {
+  // Accumulate thin Q_r from the r reflectors (same back-substitution as
+  // qr_factor).
+  q.resize(m, r);
+  for (std::size_t j = 0; j < r; ++j) q(j, j) = T{1};
+  for (std::size_t k = r; k-- > 0;) {
     if (tau[k] == T{0}) continue;
-    for (std::size_t j = k; j < n; ++j) {
+    for (std::size_t j = k; j < r; ++j) {
       T s = q(k, j);
       for (std::size_t i = k + 1; i < m; ++i) s += a(i, k) * q(i, j);
       s *= tau[k];
@@ -216,14 +244,15 @@ void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm) {
       for (std::size_t i = k + 1; i < m; ++i) q(i, j) -= a(i, k) * s;
     }
   }
-  for (std::size_t j = 0; j < n; ++j)
+  for (std::size_t j = 0; j < r; ++j)
     for (std::size_t i = j + 1; i < m; ++i) a(i, j) = T{0};
+  return r;
 }
 
-template void qr_pivoted<double>(Span2D<double>, Matrix<double>&,
-                                 std::vector<std::size_t>&);
-template void qr_pivoted<float>(Span2D<float>, Matrix<float>&,
-                                std::vector<std::size_t>&);
+template std::size_t qr_pivoted<double>(Span2D<double>, Matrix<double>&,
+                                        std::vector<std::size_t>&, double);
+template std::size_t qr_pivoted<float>(Span2D<float>, Matrix<float>&,
+                                       std::vector<std::size_t>&, float);
 
 template <typename T>
 void svd_jacobi(const Matrix<T>& a, Matrix<T>& u, std::vector<T>& s, Matrix<T>& v) {

@@ -34,13 +34,24 @@ extern template void qr_factor<float>(Span2D<float>, Matrix<float>&);
 /// and perm[j] the original index of the column now in position j. The
 /// diagonal of R is non-increasing in magnitude — the rank-revealing
 /// property the cheap TLR recompression relies on.
+///
+/// With `stop_tol` >= 0 the factorization is truncated: it stops before the
+/// first step r whose exact trailing mass ||R22||_F = ||(A P)(r:m, r:n)||_F
+/// after r reflectors is <= stop_tol (the downdated column norms only
+/// trigger the exact check). Then rows 0..r-1 of `a` hold [R11 R12] (R11
+/// upper triangular, zeros below it), rows r..m-1 of columns r..n-1 hold the
+/// unreduced R22, and `q` is the thin m x r factor: A P - Q_r [R11 R12] is
+/// orthogonal to Q_r with Frobenius norm ||R22||_F. The truncated run is
+/// bitwise the first r steps of the full one. The default (negative) runs
+/// all n steps. Returns r.
 template <typename T>
-void qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm);
+std::size_t qr_pivoted(Span2D<T> a, Matrix<T>& q, std::vector<std::size_t>& perm,
+                       T stop_tol = T{-1});
 
-extern template void qr_pivoted<double>(Span2D<double>, Matrix<double>&,
-                                        std::vector<std::size_t>&);
-extern template void qr_pivoted<float>(Span2D<float>, Matrix<float>&,
-                                       std::vector<std::size_t>&);
+extern template std::size_t qr_pivoted<double>(Span2D<double>, Matrix<double>&,
+                                               std::vector<std::size_t>&, double);
+extern template std::size_t qr_pivoted<float>(Span2D<float>, Matrix<float>&,
+                                              std::vector<std::size_t>&, float);
 
 /// Thin SVD by one-sided Jacobi: A (m x n, any shape) = U diag(s) V^T with
 /// U m x r, V n x r, r = min(m, n). Singular values descending. Accurate to

@@ -148,9 +148,18 @@ void LineListener::metrics_loop() {
 }
 
 void LineListener::serve_forever() {
-  GSX_REQUIRE(listen_fd_ >= 0, "LineListener::serve_forever: call listen() first");
+  // shutdown() sets stopping_ before it retires the fd, so a -1 here with
+  // stopping_ set means a stopper thread won the race against this loop
+  // thread: there is nothing left to serve, and throwing from the loop
+  // thread would std::terminate the process.
+  const int listen_fd = listen_fd_.load(std::memory_order_acquire);
+  if (listen_fd < 0 && stopping_.load(std::memory_order_acquire)) {
+    running_.store(false, std::memory_order_release);
+    return;
+  }
+  GSX_REQUIRE(listen_fd >= 0, "LineListener::serve_forever: call listen() first");
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listen fd closed by shutdown(), or fatal error

@@ -29,7 +29,10 @@ struct Compressed {
   [[nodiscard]] std::size_t rank() const noexcept { return u.cols(); }
 };
 
-/// Truncated SVD compression (deterministic reference).
+/// Truncated SVD compression (deterministic reference): the optimal
+/// truncation rank of A, through a column-pivoted QR stopped once the norm
+/// of its trailing block is <= 1% of the threshold, then a Jacobi SVD of the
+/// leading r x n block [R11 R12] — O(m n r) work for numerical rank ~r.
 Compressed compress_svd(Span2D<const double> a, double tol,
                         TolMode mode = TolMode::RelativeFrobenius);
 

@@ -1,9 +1,14 @@
 // Low-rank compression: error bounds, rank recovery, recompression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "geostat/covariance.hpp"
+#include "geostat/locations.hpp"
 #include "la/lapack.hpp"
 #include "test_utils.hpp"
 #include "tlr/compression.hpp"
@@ -173,6 +178,98 @@ TEST(Compression, MatérnOffDiagonalBlockIsLowRank) {
     }
   const Compressed c = compress_svd(block.cview(), 1e-8, TolMode::Absolute);
   EXPECT_LT(c.rank(), b / 4) << "separated covariance blocks must be low-rank";
+}
+
+// --- truncated-QR compress_svd against the full Jacobi SVD oracle ---------
+
+/// Singular values of `a` from the full Jacobi SVD (descending).
+std::vector<double> spectrum(const la::Matrix<double>& a) {
+  la::Matrix<double> u, v;
+  std::vector<double> s;
+  la::svd_jacobi(a, u, s, v);
+  return s;
+}
+
+/// Optimal truncation rank: the smallest k with
+/// sqrt(sum_{i>=k} s_i^2) <= threshold.
+std::size_t oracle_rank(const std::vector<double>& s, double threshold) {
+  std::size_t k = s.size();
+  double tail = 0.0;
+  while (k > 0 && std::sqrt(tail + s[k - 1] * s[k - 1]) <= threshold) {
+    tail += s[k - 1] * s[k - 1];
+    --k;
+  }
+  return k;
+}
+
+/// compress_svd must land exactly on the oracle rank and within the bound.
+void expect_optimal(const la::Matrix<double>& a, const std::vector<double>& s, double tol,
+                    TolMode mode, const std::string& what) {
+  const double threshold =
+      mode == TolMode::Absolute ? tol : tol * la::norm_frobenius<double>(a.cview());
+  const Compressed c = compress_svd(a.cview(), tol, mode);
+  EXPECT_EQ(c.u.rows(), a.rows()) << what;
+  EXPECT_EQ(c.v.rows(), a.cols()) << what;
+  EXPECT_EQ(c.rank(), oracle_rank(s, threshold)) << what;
+  EXPECT_LE(lowrank_error(a.cview(), c.u, c.v), threshold) << what;
+}
+
+void expect_optimal(const la::Matrix<double>& a, double tol, TolMode mode,
+                    const std::string& what) {
+  expect_optimal(a, spectrum(a), tol, mode, what);
+}
+
+TEST(CompressSvd, OptimalRankOnEveryMaternTileDistance) {
+  // A small Morton-sorted 2-D Matern problem with a ragged last tile: every
+  // sub-diagonal distance, near (high rank) to far (low rank), in both
+  // tolerance modes. The ragged tile row also makes its tiles wide (m < n).
+  const std::size_t n = 500, nb = 64, nt = (n + nb - 1) / nb;
+  Rng rng(17);
+  auto locs = geostat::perturbed_grid_locations(n, rng);
+  geostat::sort_morton(locs);
+  const geostat::MaternCovariance model(1.0, 0.1, 0.5);
+  for (std::size_t d = 1; d < nt; ++d)
+    for (std::size_t tj = 0; tj + d < nt; ++tj) {
+      const std::size_t ti = tj + d;
+      const std::size_t m = std::min(nb, n - ti * nb);
+      la::Matrix<double> a(m, nb);
+      for (std::size_t j = 0; j < nb; ++j)
+        for (std::size_t i = 0; i < m; ++i) a(i, j) = model(locs[ti * nb + i], locs[tj * nb + j]);
+      const std::string what = "tile (" + std::to_string(ti) + "," + std::to_string(tj) + ")";
+      const std::vector<double> s = spectrum(a);
+      expect_optimal(a, s, 1e-8, TolMode::Absolute, what + " abs");
+      expect_optimal(a, s, 1e-9, TolMode::RelativeFrobenius, what + " rel");
+    }
+}
+
+TEST(CompressSvd, OptimalRankOnEdgeShapes) {
+  Rng rng(51);
+  // Zero tile: nothing to keep in either mode (relative threshold is 0).
+  expect_optimal(la::Matrix<double>(12, 9), 1e-8, TolMode::Absolute, "zero abs");
+  expect_optimal(la::Matrix<double>(12, 9), 1e-8, TolMode::RelativeFrobenius, "zero rel");
+  // Wide (m < n) and ragged covariance blocks.
+  expect_optimal(covariance_block(17, 45, 0.6), 1e-8, TolMode::Absolute, "wide");
+  expect_optimal(covariance_block(45, 17, 0.6), 1e-8, TolMode::Absolute, "tall ragged");
+  expect_optimal(covariance_block(37, 29, 0.2), 1e-10, TolMode::RelativeFrobenius,
+                 "ragged rel");
+  // Exactly rank 5, tall and wide.
+  for (auto [m, n] : {std::pair<std::size_t, std::size_t>{40, 30},
+                      std::pair<std::size_t, std::size_t>{30, 40}}) {
+    const auto a = random_lowrank(m, n, 5, rng);
+    const Compressed c = compress_svd(a.cview(), 1e-10, TolMode::RelativeFrobenius);
+    EXPECT_EQ(c.rank(), 5u) << m << "x" << n;
+    expect_optimal(a, 1e-10, TolMode::RelativeFrobenius, "rank-5");
+  }
+  // Full rank at a tolerance far below the smallest singular value: the QR
+  // runs to completion and every direction is kept.
+  for (auto [m, n] : {std::pair<std::size_t, std::size_t>{30, 20},
+                      std::pair<std::size_t, std::size_t>{20, 30},
+                      std::pair<std::size_t, std::size_t>{24, 24}}) {
+    const auto a = random_matrix(m, n, rng);
+    const Compressed c = compress_svd(a.cview(), 1e-14, TolMode::Absolute);
+    EXPECT_EQ(c.rank(), std::min(m, n)) << m << "x" << n;
+    EXPECT_LE(lowrank_error(a.cview(), c.u, c.v), 1e-12) << m << "x" << n;  // rounding only
+  }
 }
 
 }  // namespace

@@ -610,6 +610,31 @@ TEST(FleetE2E, ConcurrentShutdownCallersDoNotDeadlock) {
   router.reset();
 }
 
+// The deterministic form of the race above: a stopper that runs shutdown()
+// before the loop thread reaches serve_forever() must make the loop return
+// cleanly (throwing there would std::terminate the loop thread), while a
+// listener that never listened still reports the misuse.
+TEST(FleetE2E, ShutdownBeforeServeForeverReturnsCleanly) {
+  ServerConfig scfg;
+  scfg.tcp_port = 0;
+  Server server(scfg);
+  server.listen();
+  server.shutdown();
+  EXPECT_NO_THROW(server.serve_forever());
+
+  RouterConfig rcfg;
+  rcfg.tcp_port = 0;
+  Router router(rcfg);
+  router.listen();
+  router.shutdown();
+  EXPECT_NO_THROW(router.serve_forever());
+
+  ServerConfig never_cfg;
+  never_cfg.tcp_port = 0;
+  Server never(never_cfg);
+  EXPECT_THROW(never.serve_forever(), InvalidArgument);
+}
+
 // --- fleet observability plane ----------------------------------------------
 
 // The whole plane in one pass: a predict through the router carries a

@@ -91,6 +91,102 @@ TEST(QrPivoted, HandlesZeroColumns) {
   for (std::size_t j = 1; j < 4; ++j) EXPECT_NEAR(r(j, j), 0.0, 1e-14);
 }
 
+/// m x n with singular values 2^-i: trailing masses of the pivoted QR fall
+/// by ~4x per step, so a threshold between two of them is unambiguous.
+la::Matrix<double> geometric_spectrum(std::size_t m, std::size_t n, Rng& rng) {
+  auto u = random_matrix(m, n, rng);
+  auto v = random_matrix(n, n, rng);
+  la::Matrix<double> qu, qv;
+  la::qr_factor(u.view(), qu);
+  la::qr_factor(v.view(), qv);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < m; ++i) qu(i, j) *= std::ldexp(1.0, -static_cast<int>(j));
+  la::Matrix<double> a(m, n);
+  la::gemm<double>(la::Trans::NoTrans, la::Trans::Trans, 1.0, qu.cview(), qv.cview(), 0.0,
+                   a.view());
+  return a;
+}
+
+TEST(QrPivoted, StoppingThresholdTruncatesToAPrefixOfTheFullFactorization) {
+  Rng rng(12);
+  const std::size_t m = 48, n = 32;
+  const auto a0 = geometric_spectrum(m, n, rng);
+
+  // Default: all n steps. A threshold that never fires (0 on a full-rank
+  // matrix) performs bitwise the same arithmetic.
+  auto rf = a0;
+  la::Matrix<double> qf;
+  std::vector<std::size_t> pf;
+  ASSERT_EQ(la::qr_pivoted(rf.view(), qf, pf), n);
+  {
+    auto r0 = a0;
+    la::Matrix<double> q0;
+    std::vector<std::size_t> p0;
+    ASSERT_EQ(la::qr_pivoted(r0.view(), q0, p0, 0.0), n);
+    EXPECT_EQ(p0, pf);
+    EXPECT_EQ(max_abs_diff(r0, rf), 0.0);
+    EXPECT_EQ(max_abs_diff(q0, qf), 0.0);
+  }
+
+  // Exact trailing mass before step k, read off the full R:
+  // t_k = ||R(k:n, k:n)||_F^2 (orthogonal updates preserve it).
+  std::vector<double> t(n + 1, 0.0);
+  for (std::size_t k = n; k-- > 0;) {
+    t[k] = t[k + 1];
+    for (std::size_t j = k; j < n; ++j) t[k] += rf(k, j) * rf(k, j);
+  }
+
+  for (std::size_t want : {1u, 6u, 13u, 25u}) {
+    ASSERT_LT(t[want], t[want - 1]);
+    const double tol = std::sqrt(std::sqrt(t[want] * t[want - 1]));  // between t_{k}, t_{k-1}
+    auto r = a0;
+    la::Matrix<double> q;
+    std::vector<std::size_t> perm;
+    const std::size_t got = la::qr_pivoted(r.view(), q, perm, tol);
+    ASSERT_EQ(got, want) << "first step whose trailing mass is <= tol^2";
+    ASSERT_EQ(q.rows(), m);
+    ASSERT_EQ(q.cols(), got);
+
+    // The returned R22 is within the threshold.
+    double r22 = 0.0;
+    for (std::size_t j = got; j < n; ++j)
+      for (std::size_t i = got; i < m; ++i) r22 += r(i, j) * r(i, j);
+    EXPECT_LE(r22, tol * tol);
+
+    // Bitwise prefix of the full factorization: pivots, Q_r, [R11 R12].
+    std::vector<std::size_t> where(n);  // original column -> position in full run
+    for (std::size_t j = 0; j < n; ++j) where[pf[j]] = j;
+    for (std::size_t j = 0; j < got; ++j) EXPECT_EQ(perm[j], pf[j]);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < got; ++i) EXPECT_EQ(r(i, j), rf(i, where[perm[j]]));
+    for (std::size_t j = 0; j < got; ++j)
+      for (std::size_t i = 0; i < m; ++i) EXPECT_EQ(q(i, j), qf(i, j));
+
+    // Q_r orthonormal, and A P - Q_r [R11 R12] has exactly the mass of R22
+    // (the residual is R22 in the basis of the trailing reflectors).
+    la::Matrix<double> qtq(got, got);
+    la::gemm<double>(la::Trans::Trans, la::Trans::NoTrans, 1.0, q.cview(), q.cview(), 0.0,
+                     qtq.view());
+    EXPECT_LT(max_abs_diff(qtq, la::Matrix<double>::identity(got)), 1e-13);
+    la::Matrix<double> resid(m, n);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < m; ++i) resid(i, j) = a0(i, perm[j]);
+    la::gemm<double>(la::Trans::NoTrans, la::Trans::NoTrans, -1.0, q.cview(),
+                     Span2D<const double>(r.data(), got, n, m), 1.0, resid.view());
+    EXPECT_NEAR(la::norm_frobenius<double>(resid.cview()), std::sqrt(r22), 1e-13);
+  }
+}
+
+TEST(QrPivoted, StoppingThresholdOnZeroMatrixStopsAtOnce) {
+  la::Matrix<double> a(9, 5);
+  la::Matrix<double> q;
+  std::vector<std::size_t> perm;
+  EXPECT_EQ(la::qr_pivoted(a.view(), q, perm, 0.0), 0u);
+  EXPECT_EQ(q.rows(), 9u);
+  EXPECT_EQ(q.cols(), 0u);
+  EXPECT_EQ(perm.size(), 5u);
+}
+
 TEST(RecompressRrqr, MatchesQrSvdValueWithinTolerance) {
   Rng rng(7);
   const std::size_t m = 40, n = 34, k = 10;
