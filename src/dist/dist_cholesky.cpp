@@ -21,6 +21,7 @@
 #include "common/timer.hpp"
 #include "dist/tile_pool.hpp"
 #include "dist/transport.hpp"
+#include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
 #include "geostat/locations.hpp"
 #include "la/convert.hpp"
@@ -79,21 +80,18 @@ class RankEngine {
     return static_cast<std::size_t>(cfg_.rank);
   }
 
-  /// Materialize only the owned tiles, with the exact inner loop
-  /// SymTileMatrix::generate uses so values are bit-identical to the oracle.
+  /// Materialize only the owned tiles, with the same evaluate_block call
+  /// geostat::fill_covariance_tiles makes, so values are bit-identical to
+  /// the oracle.
   void generate() {
     const std::vector<geostat::Location> locs = problem_locations(prob_);
+    const std::span<const geostat::Location> all(locs);
     const geostat::MaternCovariance model(1.0, prob_.range, prob_.smoothness,
                                           prob_.nugget);
     for (const auto& [i, j] : owned_) {
-      const std::size_t rows = a_.tile_dim(i);
-      const std::size_t cols = a_.tile_dim(j);
-      const std::size_t gi0 = a_.tile_offset(i);
-      const std::size_t gj0 = a_.tile_offset(j);
-      la::Matrix<double> block(rows, cols);
-      for (std::size_t jj = 0; jj < cols; ++jj)
-        for (std::size_t ii = 0; ii < rows; ++ii)
-          block(ii, jj) = model(locs[gi0 + ii], locs[gj0 + jj]);
+      la::Matrix<double> block(a_.tile_dim(i), a_.tile_dim(j));
+      model.evaluate_block(all.subspan(a_.tile_offset(i), block.rows()),
+                           all.subspan(a_.tile_offset(j), block.cols()), block.view());
       a_.at(i, j) = tile::Tile::dense64(std::move(block));
     }
   }
@@ -476,9 +474,7 @@ std::unique_ptr<tile::SymTileMatrix> oracle_factor(const DistProblemConfig& prob
     const std::vector<geostat::Location> locs = problem_locations(prob);
     const geostat::MaternCovariance model(1.0, prob.range, prob.smoothness,
                                           prob.nugget);
-    a->generate(
-        [&](std::size_t gi, std::size_t gj) { return model(locs[gi], locs[gj]); },
-        workers);
+    geostat::fill_covariance_tiles(*a, model, locs, workers);
   }
   const std::size_t nt = a->nt();
   for (std::size_t j = 0; j < nt; ++j)

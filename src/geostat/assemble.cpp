@@ -44,8 +44,7 @@ la::Matrix<double> cross_covariance(const CovarianceModel& model,
   const obs::ScopedTimer timer("assemble.seconds");
   count_cov_evals(a.size() * b.size());
   la::Matrix<double> sigma(a.size(), b.size());
-  for (std::size_t j = 0; j < b.size(); ++j)
-    for (std::size_t i = 0; i < a.size(); ++i) sigma(i, j) = model(a[i], b[j]);
+  model.evaluate_block(a, b, sigma.view());
   return sigma;
 }
 
@@ -55,7 +54,10 @@ void fill_covariance_tiles(tile::SymTileMatrix& tiles, const CovarianceModel& mo
   const obs::ScopedTimer timer("assemble.seconds");
   const obs::ScopedPhase phase("assemble");
   tiles.generate(
-      [&](std::size_t gi, std::size_t gj) { return model(locs[gi], locs[gj]); },
+      [&](std::size_t gi0, std::size_t gj0, Span2D<double> block) {
+        model.evaluate_block(locs.subspan(gi0, block.rows()), locs.subspan(gj0, block.cols()),
+                             block);
+      },
       num_workers);
   if (obs::enabled()) {
     std::size_t elems = 0;

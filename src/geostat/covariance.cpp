@@ -1,5 +1,6 @@
 #include "geostat/covariance.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -8,18 +9,74 @@
 
 namespace gsx::geostat {
 
+namespace {
+
+/// Beyond this scaled distance the Matérn correlation is taken as 0.
+constexpr double kMaternCutoff = 700.0;
+
+/// Validates before the smoothness-dependent members are built; returns the
+/// variance.
+double require_matern_params(double variance, double range, double smoothness,
+                             double nugget) {
+  GSX_REQUIRE(variance > 0 && range > 0 && smoothness > 0 && nugget >= 0,
+              "MaternCovariance: parameters must be positive (nugget >= 0)");
+  return variance;
+}
+
+// Closed forms of the Matérn correlation at half-integer smoothness.
+double matern_05(double d) { return std::exp(-d); }
+double matern_15(double d) { return (1.0 + d) * std::exp(-d); }
+double matern_25(double d) { return (1.0 + d + d * d / 3.0) * std::exp(-d); }
+
+double matern_norm(double nu) {
+  return std::exp((1.0 - nu) * std::log(2.0) - std::lgamma(nu));
+}
+
+/// out(i, j) = variance * corr(d / range) with d the planar distance of
+/// rows[i] and cols[j], plus the nugget where d = 0. The distance and scaling
+/// are operator()'s, so a closed-form corr gives operator()'s bits.
+template <class Corr>
+void fill_isotropic(std::span<const Location> rows, std::span<const Location> cols,
+                    Span2D<double> out, double variance, double range, double nugget,
+                    Corr corr) {
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    const Location b = cols[j];
+    double* col = &out(0, j);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const double d = mathx::euclidean2d(rows[i].x, rows[i].y, b.x, b.y);
+      col[i] = (d == 0.0) ? variance + nugget : variance * corr(d / range);
+    }
+  }
+}
+
+void require_block_shape(std::span<const Location> rows, std::span<const Location> cols,
+                         Span2D<double> out) {
+  GSX_REQUIRE(out.rows() == rows.size() && out.cols() == cols.size(),
+              "evaluate_block: block shape does not match the location sets");
+}
+
+}  // namespace
+
+void CovarianceModel::evaluate_block(std::span<const Location> rows,
+                                     std::span<const Location> cols,
+                                     Span2D<double> out) const {
+  require_block_shape(rows, cols, out);
+  for (std::size_t j = 0; j < cols.size(); ++j)
+    for (std::size_t i = 0; i < rows.size(); ++i) out(i, j) = (*this)(rows[i], cols[j]);
+}
+
 double matern_correlation(double nu, double d) {
   GSX_REQUIRE(nu > 0.0, "matern_correlation: smoothness must be positive");
   GSX_REQUIRE(d >= 0.0, "matern_correlation: distance must be non-negative");
   if (d == 0.0) return 1.0;
   // Closed forms for half-integer smoothness (the common special cases).
-  if (nu == 0.5) return std::exp(-d);
-  if (nu == 1.5) return (1.0 + d) * std::exp(-d);
-  if (nu == 2.5) return (1.0 + d + d * d / 3.0) * std::exp(-d);
+  if (nu == 0.5) return matern_05(d);
+  if (nu == 1.5) return matern_15(d);
+  if (nu == 2.5) return matern_25(d);
   // General case; for large d the product underflows to 0, which is the
   // correct limit, so compute through the scaled Bessel to avoid premature
   // underflow: K_nu(d) = e^{-d} * K_scaled.
-  if (d > 700.0) return 0.0;
+  if (d > kMaternCutoff) return 0.0;
   const double log_pref = (1.0 - nu) * std::log(2.0) - std::lgamma(nu) + nu * std::log(d);
   const double k_scaled = mathx::bessel_k_scaled(nu, d);
   const double val = std::exp(log_pref - d) * k_scaled;
@@ -30,15 +87,32 @@ double matern_correlation(double nu, double d) {
 
 MaternCovariance::MaternCovariance(double variance, double range, double smoothness,
                                    double nugget)
-    : variance_(variance), range_(range), smoothness_(smoothness), nugget_(nugget) {
-  GSX_REQUIRE(variance > 0 && range > 0 && smoothness > 0 && nugget >= 0,
-              "MaternCovariance: parameters must be positive (nugget >= 0)");
-}
+    : variance_(require_matern_params(variance, range, smoothness, nugget)),
+      range_(range),
+      smoothness_(smoothness),
+      nugget_(nugget),
+      norm_(matern_norm(smoothness)),
+      bessel_(smoothness) {}
 
 double MaternCovariance::operator()(const Location& a, const Location& b) const {
   const double d = mathx::euclidean2d(a.x, a.y, b.x, b.y);
   const double c = variance_ * matern_correlation(smoothness_, d / range_);
   return (d == 0.0) ? c + nugget_ : c;
+}
+
+void MaternCovariance::evaluate_block(std::span<const Location> rows,
+                                      std::span<const Location> cols,
+                                      Span2D<double> out) const {
+  require_block_shape(rows, cols, out);
+  const auto fill = [&](auto corr) {
+    fill_isotropic(rows, cols, out, variance_, range_, nugget_, corr);
+  };
+  if (smoothness_ == 0.5) return fill([](double x) { return matern_05(x); });
+  if (smoothness_ == 1.5) return fill([](double x) { return matern_15(x); });
+  if (smoothness_ == 2.5) return fill([](double x) { return matern_25(x); });
+  fill([this](double x) {
+    return x > kMaternCutoff ? 0.0 : std::min(norm_ * bessel_.xnu_k(x), 1.0);
+  });
 }
 
 std::vector<double> MaternCovariance::params() const {
@@ -51,7 +125,11 @@ void MaternCovariance::set_params(std::span<const double> theta) {
               "MaternCovariance: parameters must be positive");
   variance_ = theta[0];
   range_ = theta[1];
-  smoothness_ = theta[2];
+  if (theta[2] != smoothness_) {
+    smoothness_ = theta[2];
+    norm_ = matern_norm(smoothness_);
+    bessel_ = mathx::BesselKFixedOrder(smoothness_);
+  }
 }
 
 std::vector<double> MaternCovariance::lower_bounds() const { return {0.01, 0.005, 0.05}; }

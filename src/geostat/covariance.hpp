@@ -14,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "common/span2d.hpp"
 #include "geostat/locations.hpp"
+#include "mathx/bessel.hpp"
 
 namespace gsx::geostat {
 
@@ -34,6 +36,14 @@ class CovarianceModel {
   /// indicated by zero distance in space and time).
   [[nodiscard]] virtual double operator()(const Location& a, const Location& b) const = 0;
 
+  /// Covariance block out(i, j) = C(rows[i], cols[j]); `out` must be
+  /// rows.size() x cols.size(). Every tile and cross-covariance assembly
+  /// goes through here. The default evaluates operator() per entry; a
+  /// model with a tile kernel overrides it, agreeing with operator() to
+  /// rounding (~1e-14 relative).
+  virtual void evaluate_block(std::span<const Location> rows, std::span<const Location> cols,
+                              Span2D<double> out) const;
+
   [[nodiscard]] virtual std::size_t num_params() const = 0;
   [[nodiscard]] virtual std::vector<double> params() const = 0;
   virtual void set_params(std::span<const double> theta) = 0;
@@ -51,6 +61,11 @@ class MaternCovariance final : public CovarianceModel {
   MaternCovariance(double variance, double range, double smoothness, double nugget = 0.0);
 
   double operator()(const Location& a, const Location& b) const override;
+  /// Tile kernel: the closed forms at nu = 0.5, 1.5, 2.5, otherwise
+  /// mathx::BesselKFixedOrder with the normalizer 2^{1-nu}/Gamma(nu)
+  /// computed once per theta.
+  void evaluate_block(std::span<const Location> rows, std::span<const Location> cols,
+                      Span2D<double> out) const override;
   std::size_t num_params() const override { return 3; }
   std::vector<double> params() const override;
   void set_params(std::span<const double> theta) override;
@@ -66,6 +81,8 @@ class MaternCovariance final : public CovarianceModel {
   double range_;
   double smoothness_;
   double nugget_;
+  double norm_;  ///< 2^{1-nu} / Gamma(nu)
+  mathx::BesselKFixedOrder bessel_;
 };
 
 /// Powered exponential: C(d) = variance * exp(-(d/range)^power), power in

@@ -15,6 +15,10 @@ constexpr double kFpMin = std::numeric_limits<double>::min() / kEps;
 constexpr int kMaxIter = 10000;
 constexpr double kXMin = 2.0;  // series/continued-fraction switch point
 constexpr double kPi = 3.141592653589793238462643383279502884;
+constexpr double kLn2 = 0.693147180559945309417232121458176568;
+// Trailing Chebyshev terms whose magnitudes sum to at most this are dropped
+// (an absolute error in the logarithm, i.e. a relative error in K).
+constexpr double kChebTrim = 5e-16;
 
 /// Chebyshev series evaluation on [a, b].
 double chebev(double a, double b, const double* c, int m, double x) {
@@ -56,54 +60,31 @@ GammaPair beschb(double x) {
   return g;
 }
 
-struct BessIK {
-  double i;  // I_nu(x)
-  double k;  // K_nu(x), scaled by exp(x) if `scaled`
+struct Order {
+  int nl;      // number of upward recurrence steps
+  double xmu;  // fractional order in [-1/2, 1/2]
 };
 
-/// Joint evaluation of I_nu and K_nu following the Steed/Temme scheme.
-/// With scaled=true returns K multiplied by exp(x) (I is then invalid).
-BessIK bessik(double nu, double x, bool scaled) {
+Order split_order(double nu) {
+  const int nl = static_cast<int>(nu + 0.5);
+  return Order{nl, nu - nl};
+}
+
+/// K_xmu(x) and K_{xmu+1}(x) for |xmu| <= 1/2, scaled by exp(x) if `scaled`.
+struct KPair {
+  double kmu;
+  double k1;
+};
+
+void require_args(double nu, double x) {
   GSX_REQUIRE(std::isfinite(x) && x > 0.0, "bessel: x must be positive and finite");
   GSX_REQUIRE(std::isfinite(nu), "bessel: nu must be finite");
-  nu = std::fabs(nu);  // K_{-nu} = K_nu; I only requested for nu >= 0
+}
 
-  const int nl = static_cast<int>(nu + 0.5);
-  const double xmu = nu - nl;  // in [-1/2, 1/2]
+KPair k_pair(double xmu, double x, bool scaled) {
   const double xmu2 = xmu * xmu;
   const double xi = 1.0 / x;
   const double xi2 = 2.0 * xi;
-
-  // CF1 for I'_nu/I_nu.
-  double h = nu * xi;
-  if (h < kFpMin) h = kFpMin;
-  double b = xi2 * nu;
-  double d = 0.0;
-  double c = h;
-  int iter = 0;
-  for (; iter < kMaxIter; ++iter) {
-    b += xi2;
-    d = 1.0 / (b + d);
-    c = b + 1.0 / c;
-    const double del = c * d;
-    h = del * h;
-    if (std::fabs(del - 1.0) < kEps) break;
-  }
-  GSX_REQUIRE(iter < kMaxIter, "bessel: CF1 failed to converge (x too large for order?)");
-
-  // Downward recurrence of an unnormalised I from order nu to xmu.
-  double ril = kFpMin;
-  double ripl = h * ril;
-  const double ril1 = ril;
-  double fact = nu * xi;
-  for (int l = nl; l >= 1; --l) {
-    const double ritemp = fact * ril + ripl;
-    fact -= xi;
-    ripl = fact * ritemp + ril;
-    ril = ritemp;
-  }
-  const double f = ripl / ril;  // I'_xmu/I_xmu
-
   double rkmu, rk1;
   if (x < kXMin) {
     // Temme's series for K_xmu and K_{xmu+1}.
@@ -176,30 +157,193 @@ BessIK bessik(double nu, double x, bool scaled) {
     rkmu = std::sqrt(kPi / (2.0 * x)) * scale / s;
     rk1 = rkmu * (xmu + x + 0.5 - hh) * xi;
   }
+  return KPair{rkmu, rk1};
+}
 
-  // I_xmu from the Wronskian, then recurrences back up to order nu.
-  const double rkmup = xmu * xi * rkmu - rk1;
-  const double rimu = xi / (f * rkmu - rkmup);
-  const double ri = (rimu * ril1) / ril;
-  double kmu = rkmu;
-  double k1 = rk1;
-  for (int i = 1; i <= nl; ++i) {
-    const double rktemp = (xmu + i) * xi2 * k1 + kmu;
+/// Upward recurrence K_{xmu+i+1} = 2(xmu+i)/x K_{xmu+i} + K_{xmu+i-1} to K_nu.
+double k_upward(KPair k, Order o, double x) {
+  const double xi2 = 2.0 * (1.0 / x);
+  double kmu = k.kmu;
+  double k1 = k.k1;
+  for (int i = 1; i <= o.nl; ++i) {
+    const double rktemp = (o.xmu + i) * xi2 * k1 + kmu;
     kmu = k1;
     k1 = rktemp;
   }
-  return BessIK{ri, kmu};
+  return kmu;
+}
+
+/// K_nu alone: the I_nu continued fraction (CF1) and the downward
+/// recurrence only feed I_nu, so they are skipped.
+double bessel_k_impl(double nu, double x, bool scaled) {
+  require_args(nu, x);
+  const Order o = split_order(std::fabs(nu));  // K_{-nu} = K_nu
+  return k_upward(k_pair(o.xmu, x, scaled), o, x);
 }
 
 }  // namespace
 
-double bessel_k(double nu, double x) { return bessik(nu, x, /*scaled=*/false).k; }
+double bessel_k(double nu, double x) { return bessel_k_impl(nu, x, /*scaled=*/false); }
 
-double bessel_k_scaled(double nu, double x) { return bessik(nu, x, /*scaled=*/true).k; }
+double bessel_k_scaled(double nu, double x) { return bessel_k_impl(nu, x, /*scaled=*/true); }
 
 double bessel_i(double nu, double x) {
   GSX_REQUIRE(nu >= 0.0, "bessel_i: order must be non-negative");
-  return bessik(nu, x, /*scaled=*/false).i;
+  require_args(nu, x);
+  const Order o = split_order(nu);
+  const double xi = 1.0 / x;
+  const double xi2 = 2.0 * xi;
+
+  // CF1 for I'_nu/I_nu.
+  double h = nu * xi;
+  if (h < kFpMin) h = kFpMin;
+  double b = xi2 * nu;
+  double d = 0.0;
+  double c = h;
+  int iter = 0;
+  for (; iter < kMaxIter; ++iter) {
+    b += xi2;
+    d = 1.0 / (b + d);
+    c = b + 1.0 / c;
+    const double del = c * d;
+    h = del * h;
+    if (std::fabs(del - 1.0) < kEps) break;
+  }
+  GSX_REQUIRE(iter < kMaxIter, "bessel: CF1 failed to converge (x too large for order?)");
+
+  // Downward recurrence of an unnormalised I from order nu to xmu.
+  double ril = kFpMin;
+  double ripl = h * ril;
+  const double ril1 = ril;
+  double fact = nu * xi;
+  for (int l = o.nl; l >= 1; --l) {
+    const double ritemp = fact * ril + ripl;
+    fact -= xi;
+    ripl = fact * ritemp + ril;
+    ril = ritemp;
+  }
+  const double f = ripl / ril;  // I'_xmu/I_xmu
+
+  // I_xmu from the Wronskian with K_xmu, K_{xmu+1}.
+  const KPair k = k_pair(o.xmu, x, /*scaled=*/false);
+  const double rkmup = o.xmu * xi * k.kmu - k.k1;
+  const double rimu = xi / (f * k.kmu - rkmup);
+  return (rimu * ril1) / ril;
+}
+
+// ------------------------------------------------- fixed-order evaluation
+
+BesselKFixedOrder::BesselKFixedOrder(double nu) : nu_(std::fabs(nu)) {
+  GSX_REQUIRE(std::isfinite(nu), "BesselKFixedOrder: nu must be finite");
+  const Order o = split_order(nu_);
+  nl_ = o.nl;
+  xmu_ = o.xmu;
+  const double pimu = kPi * xmu_;
+  fct_ = (std::fabs(pimu) < kEps) ? 1.0 : pimu / std::sin(pimu);
+  const GammaPair g = beschb(xmu_);
+  gam1_ = g.gam1;
+  gam2_ = g.gam2;
+  half_gampl_inv_ = 0.5 / g.gampl;
+  half_gammi_inv_ = 0.5 / g.gammi;
+  for (int i = 1; i <= kTemmeTerms; ++i) {
+    inv_den_[i] = 1.0 / (i * i - xmu_ * xmu_);
+    inv_i_[i] = 1.0 / i;
+    inv_minus_[i] = 1.0 / (i - xmu_);
+    inv_plus_[i] = 1.0 / (i + xmu_);
+  }
+
+  // Chebyshev interpolation of log(sqrt(x) e^x K_nu(x)) at the nodes
+  // u_k = cos(pi (k + 1/2) / N), x = 4 / (u + 1), from CF2.
+  const auto log_g = [this](double x) {
+    return std::log(std::sqrt(x) * bessel_k_scaled(nu_, x));
+  };
+  std::array<double, kChebTerms> f{};
+  for (int k = 0; k < kChebTerms; ++k)
+    f[k] = log_g(4.0 / (std::cos(kPi * (k + 0.5) / kChebTerms) + 1.0));
+  for (int j = 0; j < kChebTerms; ++j) {
+    double s = 0.0;
+    for (int k = 0; k < kChebTerms; ++k) s += f[k] * std::cos(kPi * j * (k + 0.5) / kChebTerms);
+    cheb_[j] = 2.0 * s / kChebTerms;
+  }
+  cheb_[0] *= 0.5;
+  int len = kChebTerms;
+  for (double dropped = std::fabs(cheb_[len - 1]); len > 1 && dropped <= kChebTrim;
+       dropped += std::fabs(cheb_[len - 1]))
+    --len;
+  cheb_len_ = len;
+
+  // Check between the nodes, where interpolation error peaks, and at both
+  // ends of the range Matérn assembly uses.
+  const auto close = [this](double x) {
+    const double ref = std::sqrt(x) * bessel_k_scaled(nu_, x);
+    const double got = std::exp(expansion(4.0 / x - 1.0));
+    return std::fabs(got - ref) <= kCheckTol * ref;  // false on NaN/Inf
+  };
+  bool ok = close(kXMin) && close(700.0);
+  for (int k = 1; ok && k < kChebTerms; ++k)
+    ok = close(4.0 / (std::cos(kPi * k / kChebTerms) + 1.0));
+  if (!ok) cheb_len_ = 0;
+}
+
+double BesselKFixedOrder::expansion(double u) const {
+  // Clenshaw recurrence; cheb_[0] is stored halved.
+  const double u2 = 2.0 * u;
+  double b1 = 0.0, b2 = 0.0;
+  for (int j = cheb_len_ - 1; j >= 1; --j) {
+    const double t = u2 * b1 - b2 + cheb_[j];
+    b2 = b1;
+    b1 = t;
+  }
+  return u * b1 - b2 + cheb_[0];
+}
+
+double BesselKFixedOrder::temme(double x) const {
+  // k_pair's Temme branch with the order-only factors precomputed; sinh,
+  // cosh and exp of e all come from one exponential: expm1 near e = 0,
+  // where em + 1 is exact enough, and exp elsewhere, where ep - 1 is.
+  const double x2 = 0.5 * x;
+  const double lx2 = std::log(x2);
+  const double dlog = -lx2;
+  const double e = xmu_ * dlog;
+  double em, ep;  // exp(e) - 1 and exp(e)
+  if (std::fabs(e) < 0.5) {
+    em = std::expm1(e);
+    ep = em + 1.0;
+  } else {
+    ep = std::exp(e);
+    em = ep - 1.0;
+  }
+  const double fact2 = (std::fabs(e) < kEps) ? 1.0 : em * (em + 2.0) / (2.0 * ep * e);
+  const double cosh_e = 1.0 + em * em / (2.0 * ep);
+  double ff = fct_ * (gam1_ * cosh_e + gam2_ * fact2 * dlog);
+  double sum = ff;
+  double p = half_gampl_inv_ * ep;
+  double q = half_gammi_inv_ / ep;
+  double cc = 1.0;
+  const double d2 = x2 * x2;
+  double sum1 = p;
+  int i = 1;
+  for (; i <= kTemmeTerms; ++i) {
+    ff = (i * ff + p + q) * inv_den_[i];
+    cc *= d2 * inv_i_[i];
+    p *= inv_minus_[i];
+    q *= inv_plus_[i];
+    const double del = cc * ff;
+    sum += del;
+    sum1 += cc * (p - i * ff);
+    if (std::fabs(del) < std::fabs(sum) * kEps) break;
+  }
+  const double xnu = std::exp(nu_ * (lx2 + kLn2));
+  if (i > kTemmeTerms) return xnu * bessel_k(nu_, x);  // not reached for x < 2
+  const double kmu = k_upward(KPair{sum, sum1 * (2.0 / x)}, Order{nl_, xmu_}, x);
+  return xnu * kmu;
+}
+
+double BesselKFixedOrder::xnu_k(double x) const {
+  if (x < kXMin) return temme(x);
+  const double lx = std::log(x);
+  if (cheb_len_ == 0) return std::exp(nu_ * lx - x) * bessel_k_scaled(nu_, x);
+  return std::exp((nu_ - 0.5) * lx - x + expansion(4.0 / x - 1.0));
 }
 
 }  // namespace gsx::mathx

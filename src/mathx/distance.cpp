@@ -8,10 +8,6 @@ namespace {
 constexpr double kDegToRad = 3.141592653589793238462643383279502884 / 180.0;
 }
 
-double euclidean2d(double x1, double y1, double x2, double y2) {
-  return std::hypot(x1 - x2, y1 - y2);
-}
-
 double haversine_deg(double lon1, double lat1, double lon2, double lat2) {
   const double phi1 = lat1 * kDegToRad;
   const double phi2 = lat2 * kDegToRad;

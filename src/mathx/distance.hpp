@@ -1,10 +1,14 @@
 // Distance metrics between observation locations.
 #pragma once
 
+#include <cmath>
+
 namespace gsx::mathx {
 
 /// Euclidean distance in the plane.
-double euclidean2d(double x1, double y1, double x2, double y2);
+inline double euclidean2d(double x1, double y1, double x2, double y2) {
+  return std::hypot(x1 - x2, y1 - y2);
+}
 
 /// Great-circle distance on the unit sphere between (lon, lat) pairs given
 /// in degrees, via the haversine formula. Multiply by the Earth radius for

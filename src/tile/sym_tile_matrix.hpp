@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/span2d.hpp"
 #include "la/matrix.hpp"
 #include "tile/tile.hpp"
 
@@ -36,10 +37,14 @@ class SymTileMatrix {
   [[nodiscard]] Tile& at(std::size_t i, std::size_t j);
   [[nodiscard]] const Tile& at(std::size_t i, std::size_t j) const;
 
-  /// Generate all stored tiles dense FP64 from an element functor
-  /// sigma(gi, gj), optionally in parallel over tiles.
-  void generate(const std::function<double(std::size_t, std::size_t)>& sigma,
-                std::size_t num_workers = 1);
+  /// Fills one tile: `block` is tile_dim(i) x tile_dim(j) and its entry
+  /// (0, 0) is global entry (gi0, gj0).
+  using BlockGenerator =
+      std::function<void(std::size_t gi0, std::size_t gj0, Span2D<double> block)>;
+
+  /// Generate all stored tiles dense FP64, one generator call per tile,
+  /// optionally in parallel over tiles.
+  void generate(const BlockGenerator& fill, std::size_t num_workers = 1);
 
   /// Frobenius norm of the full symmetric matrix, accumulated tile-by-tile
   /// during/after generation (the paper stores no global copy).

@@ -41,6 +41,10 @@ double resolve_threshold(double tol, TolMode mode, double norm_f) {
 /// tiles.
 constexpr double kQrStopFraction = 0.01;
 
+/// compress_aca stops once its exact residual is at most this fraction of
+/// tau; the rounding step may spend the rest.
+constexpr double kAcaErrorFraction = 0.5;
+
 }  // namespace
 
 Compressed compress_svd(Span2D<const double> a, double tol, TolMode mode) {
@@ -100,14 +104,12 @@ Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
   std::vector<std::vector<double>> us, vs;  // rank-1 terms
   std::vector<bool> row_used(m, false), col_used(n, false);
 
-  // Residual access: R(i,j) = A(i,j) - sum_t us[t][i] * vs[t][j].
-  auto residual = [&](std::size_t i, std::size_t j) {
-    double r = a(i, j);
-    for (std::size_t t = 0; t < us.size(); ++t) r -= us[t][i] * vs[t][j];
-    return r;
-  };
+  // The tile is dense, so its residual R = A - sum_t u_t v_t^T is kept
+  // explicitly: O(m n) per term, and the exact ||R||_F for the stop rule.
+  la::Matrix<double> res(m, n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < m; ++i) res(i, j) = a(i, j);
 
-  double approx_norm_sq = 0.0;
   std::size_t next_row = 0;
   for (std::size_t it = 0; it < max_rank; ++it) {
     // Pivot row: first unused (classic partial pivoting starts from the
@@ -118,13 +120,11 @@ Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
     std::size_t pi = next_row;
 
     // Pivot column: max |residual| in the pivot row.
-    std::vector<double> row(n);
     double best = 0.0;
     std::size_t pj = n;
     for (std::size_t j = 0; j < n; ++j) {
-      row[j] = residual(pi, j);
-      if (!col_used[j] && std::fabs(row[j]) > best) {
-        best = std::fabs(row[j]);
+      if (!col_used[j] && std::fabs(res(pi, j)) > best) {
+        best = std::fabs(res(pi, j));
         pj = j;
       }
     }
@@ -133,51 +133,40 @@ Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
       continue;
     }
     // Improve the pivot row choice: max |residual| within the pivot column.
-    std::vector<double> col(m);
     double cbest = 0.0;
-    std::size_t ci = pi;
     for (std::size_t i = 0; i < m; ++i) {
-      col[i] = residual(i, pj);
-      if (!row_used[i] && std::fabs(col[i]) > cbest) {
-        cbest = std::fabs(col[i]);
-        ci = i;
+      if (!row_used[i] && std::fabs(res(i, pj)) > cbest) {
+        cbest = std::fabs(res(i, pj));
+        pi = i;
       }
     }
-    if (ci != pi) {
-      pi = ci;
-      for (std::size_t j = 0; j < n; ++j) row[j] = residual(pi, j);
-    }
-    const double pivot = row[pj];
+    const double pivot = res(pi, pj);
     if (pivot == 0.0) {
       row_used[pi] = true;
       continue;
     }
 
     std::vector<double> uvec(m), vvec(n);
-    for (std::size_t i = 0; i < m; ++i) uvec[i] = residual(i, pj) / pivot;
-    for (std::size_t j = 0; j < n; ++j) vvec[j] = row[j];
+    for (std::size_t i = 0; i < m; ++i) uvec[i] = res(i, pj) / pivot;
+    for (std::size_t j = 0; j < n; ++j) vvec[j] = res(pi, j);
     row_used[pi] = true;
     col_used[pj] = true;
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < m; ++i) res(i, j) -= uvec[i] * vvec[j];
 
-    // Stopping criterion: ||u_k|| * ||v_k|| against the running approx norm
-    // (standard ACA heuristic for the residual Frobenius norm).
+    // ||u_k|| ||v_k|| is the standard ACA estimate of the residual, but it
+    // looks at the last term only and can stop with ||R||_F well above tau;
+    // confirm with the exact norm, leaving the rest of tau to the rounding.
     double nu = 0.0, nv = 0.0;
     for (double x : uvec) nu += x * x;
     for (double x : vvec) nv += x * x;
-    const double term = std::sqrt(nu * nv);
-    double cross = 0.0;
-    for (std::size_t t = 0; t < us.size(); ++t) {
-      double du = 0.0, dv = 0.0;
-      for (std::size_t i = 0; i < m; ++i) du += us[t][i] * uvec[i];
-      for (std::size_t j = 0; j < n; ++j) dv += vs[t][j] * vvec[j];
-      cross += du * dv;
-    }
-    approx_norm_sq += 2.0 * cross + term * term;
     us.push_back(std::move(uvec));
     vs.push_back(std::move(vvec));
-
-    if (term <= threshold) break;
+    if (std::sqrt(nu * nv) <= threshold &&
+        la::norm_frobenius<double>(res.cview()) <= kAcaErrorFraction * threshold)
+      break;
   }
+  const double aca_error = la::norm_frobenius<double>(res.cview());
 
   Compressed out;
   const std::size_t k = us.size();
@@ -187,19 +176,10 @@ Compressed compress_aca(Span2D<const double> a, double tol, TolMode mode) {
     for (std::size_t i = 0; i < m; ++i) out.u(i, t) = us[t][i];
     for (std::size_t j = 0; j < n; ++j) out.v(j, t) = vs[t][j];
   }
-  // ACA over-estimates rank; round down to the tolerance.
-  if (k > 0) {
-    TolMode round_mode = mode;
-    double round_tol = tol;
-    if (mode == TolMode::Absolute) {
-      round_tol = threshold;
-    } else {
-      // Recompress against the original matrix norm, not the LR norm.
-      round_mode = TolMode::Absolute;
-      round_tol = threshold;
-    }
-    recompress(out.u, out.v, round_tol, round_mode);
-  }
+  // ACA over-estimates rank; round down with what the ACA residual left of
+  // tau (an absolute budget against A's norm, not the low-rank norm), so
+  // ||A - U V^T||_F <= aca_error + (tau - aca_error) = tau.
+  if (k > 0) recompress(out.u, out.v, std::max(0.0, threshold - aca_error), TolMode::Absolute);
   return out;
 }
 

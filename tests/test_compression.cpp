@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
 #include "geostat/locations.hpp"
 #include "la/lapack.hpp"
@@ -89,6 +90,25 @@ INSTANTIATE_TEST_SUITE_P(All, CompressionMethods,
                                            MethodCase{CompressionMethod::ACA, "aca"},
                                            MethodCase{CompressionMethod::RSVD, "rsvd"}),
                          [](const auto& info) { return info.param.name; });
+
+TEST(CompressAca, MeetsToleranceOnNearMaternTile) {
+  // A near off-diagonal tile: two 128-point clusters 0.5 apart, exponential
+  // Matérn at range 0.1. The last rank-1 term drops below tau well before
+  // the residual does, so the heuristic stop alone leaves ||A - U V^T||_F
+  // ~1.7 tau here.
+  Rng rng(3);
+  const auto a_locs = geostat::perturbed_grid_locations(128, rng);
+  auto b_locs = geostat::perturbed_grid_locations(128, rng);
+  for (auto& l : b_locs) l.x += 0.5;
+  const geostat::MaternCovariance model(1.0, 0.1, 0.5);
+  const la::Matrix<double> a = geostat::cross_covariance(model, a_locs, b_locs);
+  const double norm = la::norm_frobenius<double>(a.cview());
+
+  const Compressed abs = compress_aca(a.cview(), 1e-8, TolMode::Absolute);
+  EXPECT_LE(lowrank_error(a.cview(), abs.u, abs.v), 1e-8);
+  const Compressed rel = compress_aca(a.cview(), 1e-8, TolMode::RelativeFrobenius);
+  EXPECT_LE(lowrank_error(a.cview(), rel.u, rel.v), 1e-8 * norm);
+}
 
 TEST(CompressSvd, ZeroMatrixGivesRankZero) {
   const la::Matrix<double> a(10, 10);

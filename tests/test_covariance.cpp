@@ -1,11 +1,17 @@
 // Covariance models: values, SPD property, parameter plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
 #include "la/lapack.hpp"
+#include "tile/sym_tile_matrix.hpp"
 #include "test_utils.hpp"
 
 namespace gsx::geostat {
@@ -183,6 +189,152 @@ TEST(CrossCovariance, MatchesElementwiseModel) {
   for (std::size_t j = 0; j < 16; ++j)
     for (std::size_t i = 0; i < 9; ++i)
       EXPECT_DOUBLE_EQ(sigma(i, j), model(a[i], b[j]));
+}
+
+// ------------------------------------------------ block evaluation
+
+/// evaluate_block against per-element operator(): within 1e-13 relative, or
+/// 1e-16 * variance absolute where the value is tiny; bit for bit if `exact`.
+void expect_block_matches(const CovarianceModel& model, std::span<const Location> rows,
+                          std::span<const Location> cols, double variance, bool exact) {
+  la::Matrix<double> blk(rows.size(), cols.size());
+  model.evaluate_block(rows, cols, blk.view());
+  for (std::size_t j = 0; j < cols.size(); ++j)
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const double ref = model(rows[i], cols[j]);
+      if (exact) {
+        EXPECT_EQ(blk(i, j), ref) << "i=" << i << " j=" << j;
+      } else {
+        EXPECT_LE(std::fabs(blk(i, j) - ref), std::max(1e-13 * std::fabs(ref), 1e-16 * variance))
+            << "i=" << i << " j=" << j << " block=" << blk(i, j) << " operator=" << ref;
+      }
+    }
+}
+
+/// Points on the x axis at the given multiples of `range` from the origin.
+std::vector<Location> at_scaled_distances(std::initializer_list<double> xs, double range) {
+  std::vector<Location> out;
+  for (const double x : xs) out.push_back(Location{x * range, 0.0, 0.0});
+  return out;
+}
+
+class CovarianceBlock : public ::testing::TestWithParam<double> {};
+
+TEST_P(CovarianceBlock, MaternMatchesOperatorOverTheWholeDistanceRange) {
+  const double nu = GetParam();
+  const double range = 0.13;
+  const MaternCovariance model(1.7, range, nu, 0.05);
+  // d/range from 0 through the x = 2 switch of the Bessel evaluation to
+  // past the 700 underflow cut-off.
+  const auto rows = at_scaled_distances({0.0, 1e-12, 1e-6, 0.3, 1.0, 1.999999, 2.0, 2.000001,
+                                         3.7, 8.0, 30.0, 150.0, 699.0, 701.0, 2000.0},
+                                        range);
+  const std::vector<Location> origin = {Location{}};
+  expect_block_matches(model, rows, origin, 1.7, false);
+  // Random layout, several tiles' worth of distances in both directions.
+  Rng rng(23);
+  const auto locs = perturbed_grid_locations(81, rng);
+  expect_block_matches(model, locs, locs, 1.7, false);
+  EXPECT_TRUE(mathx::BesselKFixedOrder(nu).uses_expansion()) << "nu=" << nu;
+}
+
+// 1.0 and 2.0 sit on the Temme series' sin(pi mu) -> 0 limit; 0.5, 1.5 and
+// 2.5 take the closed forms.
+INSTANTIATE_TEST_SUITE_P(Smoothness, CovarianceBlock,
+                         ::testing::Values(0.05, 0.41, 0.47, 0.5, 1.0, 1.5, 2.0, 2.5, 4.9));
+
+TEST(CovarianceBlockMatern, ClosedFormsAreBitIdentical) {
+  Rng rng(29);
+  const auto locs = perturbed_grid_locations(49, rng);
+  for (const double nu : {0.5, 1.5, 2.5})
+    expect_block_matches(MaternCovariance(0.9, 0.2, nu, 1e-3), locs, locs, 0.9, true);
+}
+
+TEST(CovarianceBlockMatern, NuggetOnlyWhereLocationsCoincide) {
+  const MaternCovariance model(2.0, 0.3, 0.8, 0.25);
+  // Location 2 repeats location 0: distance 0 off the diagonal too.
+  const std::vector<Location> locs = {{0.1, 0.2, 0.0}, {0.4, 0.2, 0.0}, {0.1, 0.2, 0.0}};
+  la::Matrix<double> blk(3, 3);
+  model.evaluate_block(locs, locs, blk.view());
+  for (std::size_t j = 0; j < 3; ++j)
+    for (std::size_t i = 0; i < 3; ++i) {
+      const bool same = locs[i].x == locs[j].x && locs[i].y == locs[j].y;
+      if (same) {
+        EXPECT_EQ(blk(i, j), 2.0 + 0.25);
+      } else {
+        EXPECT_LT(blk(i, j), 2.0);
+      }
+    }
+}
+
+TEST(CovarianceBlockMatern, RaggedAndNonSquareSubBlocks) {
+  const MaternCovariance model(1.0, 0.2, 0.44, 1e-6);
+  Rng rng(31);
+  const auto locs = perturbed_grid_locations(23, rng);
+  const std::span<const Location> all(locs);
+  // Write each shape into the interior of a larger matrix: the view's
+  // leading dimension differs from its row count, and nothing outside the
+  // view may change.
+  for (auto [r, c] : {std::pair<std::size_t, std::size_t>{7, 3}, {1, 5}, {5, 1}, {23, 2},
+                      {1, 1}, {0, 4}}) {
+    la::Matrix<double> big(r + 3, c + 2, -7.0);
+    model.evaluate_block(all.subspan(11 - r / 2, r), all.subspan(3, c),
+                         big.view().sub(2, 1, r, c));
+    for (std::size_t j = 0; j < big.cols(); ++j)
+      for (std::size_t i = 0; i < big.rows(); ++i) {
+        const bool inside = i >= 2 && i < 2 + r && j >= 1 && j < 1 + c;
+        if (!inside) {
+          EXPECT_EQ(big(i, j), -7.0) << r << "x" << c << " (" << i << ", " << j << ")";
+          continue;
+        }
+        const double ref = model(all[11 - r / 2 + (i - 2)], all[3 + (j - 1)]);
+        EXPECT_NEAR(big(i, j), ref, 1e-13 * ref);
+      }
+  }
+  la::Matrix<double> wrong(3, 3);
+  EXPECT_THROW(model.evaluate_block(all.subspan(0, 3), all.subspan(0, 2), wrong.view()),
+               InvalidArgument);
+}
+
+TEST(CovarianceBlockMatern, RaggedTilesMatchDenseOracle) {
+  // n = 50 in tiles of 16: the last tile row and column are 2 wide.
+  Rng rng(37);
+  const auto locs = perturbed_grid_locations(50, rng);
+  const MaternCovariance model(1.3, 0.15, 0.7, 1e-4);
+  tile::SymTileMatrix tiles(50, 16);
+  fill_covariance_tiles(tiles, model, locs, 3);
+  const la::Matrix<double> dense = covariance_matrix(model, locs);
+  const la::Matrix<double> full = tiles.to_full();
+  for (std::size_t j = 0; j < 50; ++j)
+    for (std::size_t i = 0; i < 50; ++i)
+      EXPECT_LE(std::fabs(full(i, j) - dense(i, j)), 1e-13 * std::fabs(dense(i, j)));
+}
+
+TEST(CovarianceBlockMatern, FallsBackToCf2WhenTheExpansionMissesItsCheck) {
+  // At nu = 15 the 32-term expansion cannot reach the set-up check's
+  // tolerance over x in [2, 700]; the evaluator must notice and keep CF2
+  // rather than return the expansion's values.
+  const MaternCovariance model(1.0, 0.1, 15.0);
+  EXPECT_FALSE(mathx::BesselKFixedOrder(15.0).uses_expansion());
+  const auto rows = at_scaled_distances({0.5, 1.9, 2.0, 2.5, 6.0, 20.0, 80.0, 400.0}, 0.1);
+  const std::vector<Location> origin = {Location{}};
+  expect_block_matches(model, rows, origin, 1.0, false);
+  // A smoothness change through set_params rebuilds the evaluator.
+  MaternCovariance m2(1.0, 0.1, 0.44);
+  const std::vector<double> theta = {1.0, 0.1, 15.0};
+  m2.set_params(theta);
+  expect_block_matches(m2, rows, origin, 1.0, false);
+}
+
+TEST(CovarianceBlockDefault, OtherModelsAreBitIdentical) {
+  Rng rng(41);
+  const auto spatial = perturbed_grid_locations(16, rng);
+  const auto locs = replicate_in_time(spatial, 3, 1.0);
+  const std::span<const Location> all(locs);
+  expect_block_matches(PoweredExponentialCovariance(1.2, 0.3, 1.4, 1e-3), all.subspan(0, 13),
+                       all, 1.2, true);
+  expect_block_matches(GneitingCovariance(1.0, 0.2, 0.6, 0.5, 0.9, 0.3, 1e-4), all,
+                       all.subspan(5, 29), 1.0, true);
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include "tile/sym_tile_matrix.hpp"
 #include "tile/tile.hpp"
 #include "tile/tile_codec.hpp"
+#include "test_utils.hpp"
 
 namespace gsx::dist {
 namespace {
@@ -415,7 +416,7 @@ TEST(DistCholesky, WeightedSumsqMatchesFullNorm) {
   // weighted_sumsq over the whole stored triangle (off-diagonal tiles count
   // twice) is exactly ||A||_F^2 of the symmetric operator.
   tile::SymTileMatrix a(64, 16);
-  a.generate([](std::size_t gi, std::size_t gj) {
+  gsx::test::generate_elementwise(a, [](std::size_t gi, std::size_t gj) {
     return 1.0 / (1.0 + static_cast<double>(gi > gj ? gi - gj : gj - gi));
   });
   std::vector<std::pair<std::size_t, std::size_t>> all;

@@ -7,8 +7,22 @@
 #include "common/rng.hpp"
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
+#include "tile/sym_tile_matrix.hpp"
 
 namespace gsx::test {
+
+/// Fill every stored tile of `a` from an element functor f(gi, gj): the
+/// synthetic matrices of the tile-layer tests, which have no locations.
+template <class F>
+void generate_elementwise(tile::SymTileMatrix& a, F f, std::size_t workers = 1) {
+  a.generate(
+      [&](std::size_t gi0, std::size_t gj0, Span2D<double> block) {
+        for (std::size_t jj = 0; jj < block.cols(); ++jj)
+          for (std::size_t ii = 0; ii < block.rows(); ++ii)
+            block(ii, jj) = f(gi0 + ii, gj0 + jj);
+      },
+      workers);
+}
 
 inline la::Matrix<double> random_matrix(std::size_t rows, std::size_t cols, Rng& rng,
                                         double scale = 1.0) {
