@@ -47,7 +47,8 @@ struct TlrCompressOptions {
   std::size_t band_size = 1;    ///< |i-j| < band_size stays dense (>= 1)
   tlr::CompressionMethod method = tlr::CompressionMethod::SVD;
   /// Structure-aware cap (Algorithm 2 outcome): a tile whose compressed
-  /// rank exceeds this is converted back to dense. 0 = half the tile side.
+  /// rank exceeds this is converted back to dense. 0 = half the tile's
+  /// shorter side, so a low-rank factor never outgrows the dense tile.
   std::size_t max_rank = 0;
   /// Store low-rank factors in FP32 where the Frobenius rule permits.
   bool lr_fp32 = true;
@@ -65,6 +66,13 @@ struct CompressStats {
   std::size_t bytes_before = 0;
   std::size_t bytes_after = 0;
 };
+
+/// compress_offband's per-tile decision, shared with the distributed ranks:
+/// compress dense tile (i, j) to opts.tol unless its rank exceeds the cap,
+/// with U, V in FP32 where the Frobenius rule against `global_norm` permits.
+/// Pure in its arguments; opts.band_size is the caller's.
+void compress_tile(tile::Tile& t, std::size_t i, std::size_t j, std::size_t nt,
+                   double global_norm, const TlrCompressOptions& opts);
 
 /// Compress off-band tiles to low-rank form (structure-aware decision):
 /// run after generation + precision policy, before tile_cholesky_tlr.

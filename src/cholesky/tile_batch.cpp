@@ -1,6 +1,7 @@
 #include "cholesky/tile_batch.hpp"
 
 #include <deque>
+#include <vector>
 
 #include "common/error.hpp"
 #include "la/blas.hpp"
@@ -11,7 +12,6 @@
 namespace gsx::cholesky {
 
 using obs::KernelOp;
-using tile::SymTileMatrix;
 using tile::Tile;
 using tile::TileFormat;
 
@@ -19,90 +19,49 @@ namespace {
 
 /// One precision-uniform slice of a panel column's trailing updates. All
 /// outputs share (rows, cols); a ragged last tile row lands in its own group
-/// (batched kernels require uniform shapes).
+/// (batched kernels require uniform shapes). `idx` indexes the batch.
 struct Group {
   Precision p = Precision::FP64;
   std::size_t rows = 0;
-  std::vector<std::size_t> ms;
+  std::vector<std::size_t> idx;
 };
 
-// The four per-precision group runners mirror the switch in gemm_tile: same
-// operand converters, same kernel, same (NoTrans, Trans, -1, +1) update.
-// Operands live in a deque so their views stay valid for the whole call.
-
-void run_group_f64(SymTileMatrix& a, std::size_t k, std::size_t n, const Group& g) {
-  const F64Operand b(a.at(n, k));
-  std::deque<F64Operand> ops;
-  std::vector<la::GemmBatchItem<double>> items;
-  items.reserve(g.ms.size());
-  for (const std::size_t m : g.ms) {
-    ops.emplace_back(a.at(m, k));
-    items.push_back({ops.back().view(), b.view(), a.at(m, n).d64().view()});
+/// Run one group with the precision's operand converter and batched kernel
+/// — the same converters, kernel and (NoTrans, Trans, -1, +1) update as the
+/// switch in gemm_tile. Operands live in a deque so their views stay valid
+/// for the whole call.
+template <class Operand, class Item, class OutView, class Kernel>
+void run_group(const Tile& right, std::span<const Tile* const> left,
+               std::span<Tile* const> out, const Group& g, OutView out_view, Kernel kernel) {
+  const Operand b(right);
+  std::deque<Operand> ops;
+  std::vector<Item> items;
+  items.reserve(g.idx.size());
+  for (const std::size_t x : g.idx) {
+    ops.emplace_back(*left[x]);
+    items.push_back({ops.back().view(), b.view(), out_view(*out[x])});
   }
-  const obs::KernelTimer timer(KernelOp::Gemm, Precision::FP64);
-  la::gemm_batch<double>(la::Trans::NoTrans, la::Trans::Trans, -1.0, items.data(),
-                         items.size(), 1.0);
-}
-
-void run_group_f32(SymTileMatrix& a, std::size_t k, std::size_t n, const Group& g) {
-  const F32Operand b(a.at(n, k));
-  std::deque<F32Operand> ops;
-  std::vector<la::GemmBatchItem<float>> items;
-  items.reserve(g.ms.size());
-  for (const std::size_t m : g.ms) {
-    ops.emplace_back(a.at(m, k));
-    items.push_back({ops.back().view(), b.view(), a.at(m, n).d32().view()});
-  }
-  const obs::KernelTimer timer(KernelOp::Gemm, Precision::FP32);
-  la::gemm_batch<float>(la::Trans::NoTrans, la::Trans::Trans, -1.0f, items.data(),
-                        items.size(), 1.0f);
-}
-
-void run_group_f16(SymTileMatrix& a, std::size_t k, std::size_t n, const Group& g) {
-  const F16Operand b(a.at(n, k));
-  std::deque<F16Operand> ops;
-  std::vector<la::Gemm16BatchItem<half>> items;
-  items.reserve(g.ms.size());
-  for (const std::size_t m : g.ms) {
-    ops.emplace_back(a.at(m, k));
-    items.push_back({ops.back().view(), b.view(), a.at(m, n).d16().view()});
-  }
-  const obs::KernelTimer timer(KernelOp::Gemm, Precision::FP16);
-  la::hgemm_batch(la::Trans::NoTrans, la::Trans::Trans, -1.0f, items.data(),
-                  items.size(), 1.0f);
-}
-
-void run_group_bf16(SymTileMatrix& a, std::size_t k, std::size_t n, const Group& g) {
-  const Bf16Operand b(a.at(n, k));
-  std::deque<Bf16Operand> ops;
-  std::vector<la::Gemm16BatchItem<bfloat16>> items;
-  items.reserve(g.ms.size());
-  for (const std::size_t m : g.ms) {
-    ops.emplace_back(a.at(m, k));
-    items.push_back({ops.back().view(), b.view(), a.at(m, n).dbf16().view()});
-  }
-  const obs::KernelTimer timer(KernelOp::Gemm, Precision::BF16);
-  la::bgemm_batch(la::Trans::NoTrans, la::Trans::Trans, -1.0f, items.data(),
-                  items.size(), 1.0f);
+  const obs::KernelTimer timer(KernelOp::Gemm, g.p);
+  kernel(items.data(), items.size());
 }
 
 }  // namespace
 
-void gemm_tile_batch(SymTileMatrix& a, std::size_t k, std::size_t n,
-                     const std::vector<std::size_t>& ms, bool tlr_mode, double abs_tol,
+void gemm_tile_batch(const Tile& right, std::span<const Tile* const> left,
+                     std::span<Tile* const> out, bool tlr_mode, double abs_tol,
                      tlr::RoundingMethod rounding) {
-  const Tile& ank = a.at(n, k);
-  const bool ank_lr = ank.format() == TileFormat::LowRank;
+  GSX_REQUIRE(left.size() == out.size(), "gemm_tile_batch: operand/output count mismatch");
+  const bool right_lr = right.format() == TileFormat::LowRank;
   std::vector<Group> groups;
-  for (const std::size_t m : ms) {
-    const Tile& amk = a.at(m, k);
-    Tile& amn = a.at(m, n);
+  for (std::size_t x = 0; x < out.size(); ++x) {
+    const Tile& amk = *left[x];
+    Tile& amn = *out[x];
     // Updates involving a low-rank tile keep the per-op LR algebra; each
     // output tile is touched exactly once per k, so interleaving per-op and
     // batched items cannot change any result.
-    if (tlr_mode && (ank_lr || amk.format() == TileFormat::LowRank ||
+    if (tlr_mode && (right_lr || amk.format() == TileFormat::LowRank ||
                      amn.format() == TileFormat::LowRank)) {
-      gemm_mixed_tile(amk, ank, amn, abs_tol, rounding);
+      gemm_mixed_tile(amk, right, amn, abs_tol, rounding);
       continue;
     }
     GSX_REQUIRE(amn.format() == TileFormat::Dense,
@@ -117,7 +76,7 @@ void gemm_tile_batch(SymTileMatrix& a, std::size_t k, std::size_t n,
       groups.push_back({amn.precision(), amn.rows(), {}});
       g = &groups.back();
     }
-    g->ms.push_back(m);
+    g->idx.push_back(x);
   }
 
   for (const Group& g : groups) {
@@ -126,26 +85,35 @@ void gemm_tile_batch(SymTileMatrix& a, std::size_t k, std::size_t n,
       // update (the batch histogram, recorded inside the kernel, is what
       // tracks actual launch granularity).
       std::uint64_t flops = 0;
-      for (const std::size_t m : g.ms) {
+      for (const std::size_t x : g.idx) {
         const std::uint64_t f =
-            obs::gemm_flops(a.at(m, n).rows(), a.at(m, n).cols(), a.at(m, k).cols());
+            obs::gemm_flops(out[x]->rows(), out[x]->cols(), left[x]->cols());
         obs::add_flops(KernelOp::Gemm, g.p, f);
         flops += f;
       }
       obs::annotate_task(g.p, -1, flops);
     }
+    constexpr auto N = la::Trans::NoTrans, T = la::Trans::Trans;
     switch (g.p) {
       case Precision::FP64:
-        run_group_f64(a, k, n, g);
+        run_group<F64Operand, la::GemmBatchItem<double>>(
+            right, left, out, g, [](Tile& t) { return t.d64().view(); },
+            [&](auto* it, std::size_t n) { la::gemm_batch<double>(N, T, -1.0, it, n, 1.0); });
         break;
       case Precision::FP32:
-        run_group_f32(a, k, n, g);
+        run_group<F32Operand, la::GemmBatchItem<float>>(
+            right, left, out, g, [](Tile& t) { return t.d32().view(); },
+            [&](auto* it, std::size_t n) { la::gemm_batch<float>(N, T, -1.0f, it, n, 1.0f); });
         break;
       case Precision::FP16:
-        run_group_f16(a, k, n, g);
+        run_group<F16Operand, la::Gemm16BatchItem<half>>(
+            right, left, out, g, [](Tile& t) { return t.d16().view(); },
+            [&](auto* it, std::size_t n) { la::hgemm_batch(N, T, -1.0f, it, n, 1.0f); });
         break;
       case Precision::BF16:
-        run_group_bf16(a, k, n, g);
+        run_group<Bf16Operand, la::Gemm16BatchItem<bfloat16>>(
+            right, left, out, g, [](Tile& t) { return t.dbf16().view(); },
+            [&](auto* it, std::size_t n) { la::bgemm_batch(N, T, -1.0f, it, n, 1.0f); });
         break;
     }
   }

@@ -5,16 +5,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "cholesky/cholesky_dag.hpp"
 #include "cholesky/factorize.hpp"
 #include "cholesky/precision_policy.hpp"
+#include "cholesky/tile_batch.hpp"
 #include "cholesky/tile_kernels.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -24,12 +24,10 @@
 #include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
 #include "geostat/locations.hpp"
-#include "la/convert.hpp"
 #include "la/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/task_graph.hpp"
 #include "tile/tile_codec.hpp"
-#include "tlr/compression.hpp"
 
 namespace gsx::dist {
 
@@ -110,23 +108,35 @@ class RankEngine {
     for (const auto& [i, j] : owned_) pool_->put(i, j, std::move(a_.at(i, j)));
   }
 
-  /// Unroll the global Algorithm 1 loop, submitting only tasks whose output
-  /// tile this rank owns. Same loop order and priorities as the
-  /// single-process factorization — the dependency chains fix the kernel
-  /// order, which is what makes the factor bit-identical to the oracle.
+  /// Walk the global Algorithm-1 task list (cholesky_dag.hpp) under the
+  /// block-cyclic owner. The first pass records, per tile, which ranks read
+  /// it and which task writes it last; the second submits the tasks this
+  /// rank owns. The dependency chains fix every tile's kernel order, which
+  /// is what makes the factor bit-identical to the oracle.
   void build_graph() {
     graph_.set_policy(rt::SchedPolicy::Priority);
-    for (std::size_t k = 0; k < nt_; ++k) {
-      const int base = static_cast<int>(3 * (nt_ - k));
-      if (grid_.owner(k, k) == rank()) submit_potrf(k, base + 2);
-      for (std::size_t m = k + 1; m < nt_; ++m)
-        if (grid_.owner(m, k) == rank()) submit_trsm(m, k, base + 1);
-      for (std::size_t m = k + 1; m < nt_; ++m) {
-        if (grid_.owner(m, m) == rank()) submit_syrk(m, k, base);
-        for (std::size_t n = k + 1; n < m; ++n)
-          if (grid_.owner(m, n) == rank()) submit_gemm(m, n, k, base);
-      }
-    }
+    const auto owner = [this](std::size_t i, std::size_t j) { return grid_.owner(i, j); };
+    fanout_.assign(nt_ * nt_, {});
+    std::size_t id = 0;
+    cholesky::for_each_cholesky_task(nt_, owner, [&](const cholesky::CholeskyTask& t) {
+      const std::size_t o = task_owner(t);
+      t.for_each_access([&](cholesky::TileCoord c, bool write) {
+        Fanout& f = fanout_[c.i * nt_ + c.j];
+        if (!write) {
+          f.readers.insert(o);
+          return;
+        }
+        // A tile ships once, so nothing may rewrite it after a read.
+        GSX_REQUIRE(f.readers.empty(), "dist: tile written after it was read");
+        f.last_writer = id;
+      });
+      ++id;
+    });
+    id = 0;
+    cholesky::for_each_cholesky_task(nt_, owner, [&](const cholesky::CholeskyTask& t) {
+      if (task_owner(t) == rank()) submit(t, id);
+      ++id;
+    });
   }
 
   /// Transport delivery for kMsgPanel: stage the tile, release consumers.
@@ -174,6 +184,11 @@ class RankEngine {
     return rt::DatumId::from_index(nt_ * nt_ + i * nt_ + j);
   }
 
+  [[nodiscard]] std::size_t task_owner(const cholesky::CholeskyTask& t) const {
+    const cholesky::TileCoord out = t.out(0);
+    return grid_.owner(out.i, out.j);
+  }
+
   /// Dependency on tile (i, j) as a read operand. Remote tiles lazily create
   /// their externally-completed recv task + staging slot on first use.
   [[nodiscard]] rt::Dep read_dep(std::size_t i, std::size_t j) {
@@ -188,106 +203,56 @@ class RankEngine {
     return {staging_datum(i, j), rt::Access::Read};
   }
 
-  /// Read access to tile (i, j) inside a task body: a pinned lease for owned
-  /// tiles, the staged copy for remote ones.
-  struct Operand {
-    std::optional<TileLease> lease;
-    const tile::Tile* t = nullptr;
-  };
-  [[nodiscard]] Operand read_operand(std::size_t i, std::size_t j) {
-    Operand op;
-    if (grid_.owner(i, j) == rank()) {
-      op.lease.emplace(*store_, i, j);
-      op.t = &op.lease->get();
+  void submit(const cholesky::CholeskyTask& t, std::size_t id) {
+    std::vector<rt::Dep> deps;
+    t.for_each_access([&](cholesky::TileCoord c, bool write) {
+      deps.push_back(write ? rt::Dep{owned_datum(c.i, c.j), rt::Access::ReadWrite}
+                           : read_dep(c.i, c.j));
+    });
+    graph_.submit(t.name(), deps, [this, t, id] { execute(t, id); }, t.priority);
+  }
+
+  /// Task body: resolve tiles (a pinned lease for owned tiles, the staged
+  /// copy for remote ones), run the kernels, then ship every output tile
+  /// this task finalizes to the ranks that read it — at its stored
+  /// precision.
+  void execute(const cholesky::CholeskyTask& t, std::size_t id) {
+    std::vector<TileLease> leases;
+    leases.reserve(2 * t.rows.size() + 2);
+    const auto tile_at = [&](cholesky::TileCoord c) -> tile::Tile& {
+      if (grid_.owner(c.i, c.j) != rank()) return staging_.at(tile_tag(c.i, c.j));
+      return leases.emplace_back(*store_, c.i, c.j).get();
+    };
+    if (t.op == obs::KernelOp::Potrf) {
+      tile::Tile& d = tile_at({t.k, t.k});
+      const int info = cholesky::potrf_tile(d);
+      if (info != 0) {
+        NumericalContext ctx;
+        ctx.tile_i = ctx.tile_j = static_cast<long>(t.k);
+        ctx.pivot = static_cast<int>(t.k * prob_.tile_size) + info;
+        ctx.precision = d.precision();
+        throw NumericalError("dist potrf: matrix not positive definite", ctx);
+      }
     } else {
-      op.t = &staging_.at(tile_tag(i, j));
+      const bool tlr = cfg_.policy.policy == DistPolicy::Tlr;
+      cholesky::run_update_task(t, tile_at, tlr, cfg_.policy.tlr.tol,
+                                tlr::RoundingMethod::QrSvd);
     }
-    return op;
+    t.for_each_access([&](cholesky::TileCoord c, bool write) {
+      const Fanout& f = fanout_[c.i * nt_ + c.j];
+      if (!write || f.last_writer != id) return;
+      for (const std::size_t d : f.readers)
+        if (d != rank())
+          transport_.send_tile(static_cast<int>(d), kMsgPanel, tile_tag(c.i, c.j),
+                               tile_at(c));
+    });
   }
 
-  /// Ship a finished tile to every rank in `dests` (self excluded, dup-free).
-  void broadcast(const std::set<std::size_t>& dests, std::size_t i, std::size_t j,
-                 const tile::Tile& t) {
-    for (const std::size_t d : dests)
-      if (d != rank())
-        transport_.send_tile(static_cast<int>(d), kMsgPanel, tile_tag(i, j), t);
-  }
-
-  void submit_potrf(std::size_t k, int priority) {
-    graph_.submit(
-        "potrf(" + std::to_string(k) + ")", {{owned_datum(k, k), rt::Access::ReadWrite}},
-        [this, k] {
-          TileLease d(*store_, k, k);
-          const int info = cholesky::potrf_tile(d.get());
-          if (info != 0) {
-            NumericalContext ctx;
-            ctx.tile_i = static_cast<long>(k);
-            ctx.tile_j = static_cast<long>(k);
-            ctx.pivot = static_cast<int>(k * prob_.tile_size) + info;
-            ctx.precision = d.get().precision();
-            throw NumericalError("dist potrf: matrix not positive definite", ctx);
-          }
-          // The factored diagonal feeds every trsm of the panel below it.
-          std::set<std::size_t> dests;
-          for (std::size_t m = k + 1; m < nt_; ++m) dests.insert(grid_.owner(m, k));
-          broadcast(dests, k, k, d.get());
-        },
-        priority);
-  }
-
-  void submit_trsm(std::size_t m, std::size_t k, int priority) {
-    graph_.submit(
-        "trsm(" + std::to_string(m) + "," + std::to_string(k) + ")",
-        {read_dep(k, k), {owned_datum(m, k), rt::Access::ReadWrite}},
-        [this, m, k] {
-          Operand l = read_operand(k, k);
-          TileLease b(*store_, m, k);
-          if (b.get().format() == tile::TileFormat::LowRank)
-            cholesky::trsm_lr_tile(*l.t, b.get());
-          else
-            cholesky::trsm_tile(*l.t, b.get());
-          // Consumers of the finished panel tile (m, k): syrk at (m, m),
-          // gemm outputs (m, n) for k < n < m and (i, m) for i > m.
-          std::set<std::size_t> dests;
-          dests.insert(grid_.owner(m, m));
-          for (std::size_t n = k + 1; n < m; ++n) dests.insert(grid_.owner(m, n));
-          for (std::size_t i = m + 1; i < nt_; ++i) dests.insert(grid_.owner(i, m));
-          broadcast(dests, m, k, b.get());
-        },
-        priority);
-  }
-
-  void submit_syrk(std::size_t m, std::size_t k, int priority) {
-    graph_.submit(
-        "syrk(" + std::to_string(m) + "," + std::to_string(k) + ")",
-        {read_dep(m, k), {owned_datum(m, m), rt::Access::ReadWrite}},
-        [this, m, k] {
-          Operand p = read_operand(m, k);
-          TileLease d(*store_, m, m);
-          if (p.t->format() == tile::TileFormat::LowRank)
-            cholesky::syrk_lr_tile(*p.t, d.get());
-          else
-            cholesky::syrk_tile(*p.t, d.get());
-        },
-        priority);
-  }
-
-  void submit_gemm(std::size_t m, std::size_t n, std::size_t k, int priority) {
-    graph_.submit(
-        "gemm(" + std::to_string(m) + "," + std::to_string(n) + "," +
-            std::to_string(k) + ")",
-        {read_dep(m, k), read_dep(n, k), {owned_datum(m, n), rt::Access::ReadWrite}},
-        [this, m, n, k] {
-          Operand x = read_operand(m, k);
-          Operand y = read_operand(n, k);
-          TileLease c(*store_, m, n);
-          if (cfg_.policy.policy == DistPolicy::Tlr)
-            cholesky::gemm_mixed_tile(*x.t, *y.t, c.get(), cfg_.policy.tlr_tol);
-          else
-            cholesky::gemm_tile(*x.t, *y.t, c.get());
-        },
-        priority);
-  }
+  /// Readers of one tile and the task that finalizes it (build_graph).
+  struct Fanout {
+    std::set<std::size_t> readers;
+    std::size_t last_writer = 0;
+  };
 
   const DistProblemConfig& prob_;
   const DistRunConfig& cfg_;
@@ -302,6 +267,7 @@ class RankEngine {
   TileStore* store_ = nullptr;
 
   rt::TaskGraph graph_;
+  std::vector<Fanout> fanout_;  ///< per tile i * nt + j, frozen before run
   // node-based maps: delivery threads write distinct slots concurrently with
   // worker-thread reads of other slots; no structural changes during run.
   std::map<std::uint64_t, tile::Tile> staging_;
@@ -337,39 +303,17 @@ void apply_dist_tile_policy(tile::Tile& t, std::size_t i, std::size_t j,
       return;
     case DistPolicy::MixedPrecision: {
       const Precision p = cholesky::frobenius_precision(
-          t.frobenius(), global_norm, nt, opts.eps_target, opts.allow_fp16,
+          t.frobenius(), global_norm, nt, opts.tlr.eps_target, opts.allow_fp16,
           t.rows() * t.cols());
       t.convert_dense(p);
       return;
     }
-    case DistPolicy::Tlr: {
-      // Mirrors compress_offband's per-tile decisions (same rng stream, same
-      // tolerance mode, same rank cap and fp32 rule) so the distributed TLR
+    case DistPolicy::Tlr:
+      // compress_offband's own per-tile decision, so the distributed TLR
       // matrix matches a single-process compress_offband bit-for-bit.
-      if (i - j < opts.band) return;
-      const std::size_t rank_cap =
-          opts.max_rank > 0 ? opts.max_rank : std::max<std::size_t>(1, t.rows() / 2);
-      const double tile_norm = t.frobenius();
-      const la::Matrix<double> full = t.to_dense64();
-      Rng rng(opts.compress_seed + 1315423911ull * (i * nt + j));
-      tlr::Compressed comp = tlr::compress(tlr::CompressionMethod::SVD, full.cview(),
-                                           opts.tlr_tol, rng, tlr::TolMode::Absolute);
-      if (comp.rank() > rank_cap) return;  // rank too high: stays dense
-      const bool use_fp32 =
-          cholesky::frobenius_precision(tile_norm, global_norm, nt, opts.eps_target,
-                                        /*allow_fp16=*/false, t.rows() * t.cols()) !=
-          Precision::FP64;
-      if (use_fp32) {
-        la::Matrix<float> u32(comp.u.rows(), comp.rank());
-        la::Matrix<float> v32(comp.v.rows(), comp.rank());
-        la::convert(comp.u.cview(), u32.view());
-        la::convert(comp.v.cview(), v32.view());
-        t = tile::Tile::lowrank32(std::move(u32), std::move(v32));
-      } else {
-        t = tile::Tile::lowrank64(std::move(comp.u), std::move(comp.v));
-      }
+      if (i - j >= opts.tlr.band_size)
+        cholesky::compress_tile(t, i, j, nt, global_norm, opts.tlr);
       return;
-    }
   }
 }
 
@@ -485,7 +429,7 @@ std::unique_ptr<tile::SymTileMatrix> oracle_factor(const DistProblemConfig& prob
   fopt.workers = workers;
   const cholesky::FactorReport report =
       opts.policy == DistPolicy::Tlr
-          ? cholesky::tile_cholesky_tlr(*a, opts.tlr_tol, fopt)
+          ? cholesky::tile_cholesky_tlr(*a, opts.tlr.tol, fopt)
           : cholesky::tile_cholesky_dense(*a, fopt);
   GSX_REQUIRE(report.info == 0, "oracle_factor: matrix not positive definite");
   return a;

@@ -3,15 +3,17 @@
 // arriving over the TileTransport data plane.
 //
 // Execution model (the PaRSEC idea, on this repo's runtime):
-//   - every rank unrolls the SAME global task loop but submits only the
-//     tasks whose output tile it owns;
+//   - every rank walks the SAME Algorithm-1 task list the single-process
+//     factorization runs (cholesky/cholesky_dag.hpp, block-cyclic owner,
+//     so each gemm batch has one owner) and submits only the tasks whose
+//     output tiles it owns; trailing updates run as batched GEMMs;
 //   - a remote operand becomes an externally-completed "recv" task in the
 //     TaskGraph plus a staging slot; the transport's delivery callback
 //     stages the tile and notify()s the task, releasing local consumers
 //     without parking a worker thread in a blocking receive;
-//   - a task whose output other ranks consume ships the finished tile from
-//     inside its own body (potrf broadcasts down the panel, trsm to the
-//     trailing update owners) — at the tile's *stored* precision.
+//   - broadcast sets come from the same list: the task that writes a tile
+//     last ships it, from inside its own body, to every rank whose tasks
+//     read it — at the tile's *stored* precision.
 //
 // Precision parity with the single-process oracle: every per-tile decision
 // (mixed-precision demotion, TLR compression, FP32 low-rank storage) is a
@@ -28,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "cholesky/factorize.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/placement.hpp"
 #include "tile/sym_tile_matrix.hpp"
@@ -70,12 +73,11 @@ struct DistProblemConfig {
 /// oracle.
 struct DistPolicyOptions {
   DistPolicy policy = DistPolicy::Dense;
-  double eps_target = 1.0e-8;  ///< adaptive-Frobenius accuracy target
-  bool allow_fp16 = true;
-  double tlr_tol = 1.0e-7;     ///< absolute compression tolerance
-  std::size_t band = 2;        ///< |i-j| < band stays dense (TLR policy)
-  std::size_t max_rank = 0;    ///< 0 = tile_size / 2 cap
-  std::uint64_t compress_seed = 42;
+  bool allow_fp16 = true;  ///< MP: FP16 storage allowed
+  /// TLR: compress_offband's options (tiles with |i-j| >= band_size are
+  /// compressed to the absolute tolerance `tol`, also the factorization's
+  /// rounding tolerance). Its eps_target is also the MP accuracy target.
+  cholesky::TlrCompressOptions tlr{.tol = 1.0e-7, .band_size = 2};
 };
 
 /// One rank's run parameters.
@@ -101,7 +103,8 @@ struct DistResult {
 
 /// Apply the per-tile storage policy to one generated (dense FP64) tile.
 /// Pure in (tile values, i, j, nt, global_norm, opts) — the parity contract
-/// between ranks and oracle. Diagonal tiles always stay dense FP64.
+/// between ranks and oracle. Diagonal tiles always stay dense FP64; TLR
+/// off-band tiles take cholesky::compress_tile, compress_offband's decision.
 void apply_dist_tile_policy(tile::Tile& t, std::size_t i, std::size_t j,
                             std::size_t nt, double global_norm,
                             const DistPolicyOptions& opts);

@@ -5,6 +5,7 @@
 #include <queue>
 #include <unordered_map>
 
+#include "cholesky/cholesky_dag.hpp"
 #include "common/error.hpp"
 
 namespace gsx::distsim {
@@ -108,34 +109,38 @@ class NodeCores {
   std::priority_queue<double, std::vector<double>, std::greater<>> free_;
 };
 
-/// Kernel cost model derived from the calibrated per-core GEMM timings by
-/// flop ratios (GEMM = 2 ts^3 flops is the unit).
+/// Cost of one tile update writing `out`, derived from the calibrated
+/// per-core GEMM timings by flop ratios (GEMM = 2 ts^3 flops is the unit).
+/// `pn` is the task's shared read (col, k), `pm` a gemm's row read (m, k).
 struct Costs {
   const perfmodel::KernelModel* k = nullptr;
   std::size_t ts = 0;
 
-  [[nodiscard]] double dense_gemm(Precision p) const { return k->dense_gemm_seconds(p); }
-  [[nodiscard]] double potrf() const {
-    return dense_gemm(Precision::FP64) / 6.0;  // ts^3/3 over 2 ts^3
-  }
-  [[nodiscard]] double dense_trsm(Precision p) const { return dense_gemm(p) / 2.0; }
-  [[nodiscard]] double dense_syrk() const { return dense_gemm(Precision::FP64) / 2.0; }
-  [[nodiscard]] double lr_trsm(std::size_t rank) const {
-    // V := L^{-1} V: ts^2 * rank flops.
-    return dense_gemm(Precision::FP64) * static_cast<double>(rank) /
-           (2.0 * static_cast<double>(ts));
-  }
-  [[nodiscard]] double lr_syrk(std::size_t rank) const {
-    // ~4 ts k^2 + 2 ts^2 k flops over 2 ts^3.
-    const double kk = static_cast<double>(rank);
+  [[nodiscard]] double operator()(obs::KernelOp op, const TileInfo& out, const TileInfo& pn,
+                                  const TileInfo& pm) const {
+    const double g64 = k->dense_gemm_seconds(Precision::FP64);
     const double t = static_cast<double>(ts);
-    return dense_gemm(Precision::FP64) * (4.0 * t * kk * kk + 2.0 * t * t * kk) /
-           (2.0 * t * t * t);
-  }
-  [[nodiscard]] double lr_gemm(std::size_t rank) const { return k->tlr_gemm_seconds(rank); }
-  [[nodiscard]] double mixed_gemm_dense_out(std::size_t rank, Precision p) const {
-    // C(dense) -= LR product: ~2 ts^2 k flops.
-    return dense_gemm(p) * static_cast<double>(rank) / static_cast<double>(ts);
+    switch (op) {
+      case obs::KernelOp::Potrf:
+        return g64 / 6.0;  // ts^3/3 over 2 ts^3
+      case obs::KernelOp::Trsm:  // low rank: V := L^{-1} V, ts^2 * rank flops
+        return out.lowrank ? g64 * static_cast<double>(out.rank) / (2.0 * t)
+                           : k->dense_gemm_seconds(out.precision) / 2.0;
+      case obs::KernelOp::Syrk: {  // low rank: ~4 ts k^2 + 2 ts^2 k flops
+        const double r = static_cast<double>(pn.rank);
+        return pn.lowrank ? g64 * (4.0 * t * r * r + 2.0 * t * t * r) / (2.0 * t * t * t)
+                          : g64 / 2.0;
+      }
+      default:
+        if (out.lowrank)
+          return k->tlr_gemm_seconds(std::max(
+              {out.rank, pm.lowrank ? pm.rank : out.rank, pn.lowrank ? pn.rank : out.rank}));
+        if (pm.lowrank || pn.lowrank) {  // C(dense) -= LR product: ~2 ts^2 k flops
+          const std::size_t r = std::min(pm.lowrank ? pm.rank : ts, pn.lowrank ? pn.rank : ts);
+          return k->dense_gemm_seconds(out.precision) * static_cast<double>(r) / t;
+        }
+        return k->dense_gemm_seconds(out.precision);
+    }
   }
 };
 
@@ -175,72 +180,39 @@ SimResult simulate_cholesky(const TileStructure& a, const ProcessGrid& grid,
     return it->second;
   };
 
-  auto execute = [&](std::size_t out_i, std::size_t out_j, double deps_ready,
-                     double cost) {
-    TileClock& out = clock(out_i, out_j);
-    const std::size_t exec_node = grid.owner(out_i, out_j);
-    const double ready = std::max({deps_ready, out.last_write_end, out.max_read_end});
-    const double end = cores[exec_node].run(ready, cost);
-    out.last_write_end = end;
-    out.max_read_end = 0.0;
-    out.cached_at.clear();
-    result.total_compute_seconds += cost;
-    ++result.num_tasks;
-    return end;
-  };
-
-  auto note_read = [&](std::size_t i, std::size_t j, double end) {
-    TileClock& c = clock(i, j);
+  auto note_read = [&](cholesky::TileCoord t, double end) {
+    TileClock& c = clock(t.i, t.j);
     c.max_read_end = std::max(c.max_read_end, end);
   };
 
-  for (std::size_t k = 0; k < nt; ++k) {
-    execute(k, k, clock(k, k).last_write_end, costs.potrf());
-
-    for (std::size_t m = k + 1; m < nt; ++m) {
-      const std::size_t exec_node = grid.owner(m, k);
-      const double lkk_ready = read_operand(k, k, exec_node);
-      const TileInfo& t = a.at(m, k);
-      const double cost = t.lowrank ? costs.lr_trsm(t.rank) : costs.dense_trsm(t.precision);
-      const double end = execute(m, k, lkk_ready, cost);
-      note_read(k, k, end);
+  using cholesky::TileCoord;
+  // Replay Algorithm 1's task list; each update of a gemm batch is charged
+  // as its own task on the output's node.
+  const auto owner = [&grid](std::size_t i, std::size_t j) { return grid.owner(i, j); };
+  cholesky::for_each_cholesky_task(nt, owner, [&](const cholesky::CholeskyTask& task) {
+    const bool potrf = task.op == obs::KernelOp::Potrf;
+    const bool gemm = task.op == obs::KernelOp::Gemm;
+    const TileCoord shared{task.col, task.k};
+    for (std::size_t b = 0; b < task.rows.size(); ++b) {
+      const TileCoord o = task.out(b);
+      const TileCoord panel{task.rows[b], task.k};
+      TileClock& out = clock(o.i, o.j);
+      const std::size_t exec_node = grid.owner(o.i, o.j);
+      double ready = std::max(out.last_write_end, out.max_read_end);
+      if (!potrf) ready = std::max(ready, read_operand(shared.i, shared.j, exec_node));
+      if (gemm) ready = std::max(ready, read_operand(panel.i, panel.j, exec_node));
+      const double cost =
+          costs(task.op, a.at(o.i, o.j), a.at(shared.i, shared.j), a.at(panel.i, panel.j));
+      const double end = cores[exec_node].run(ready, cost);
+      out.last_write_end = end;
+      out.max_read_end = 0.0;
+      out.cached_at.clear();
+      result.total_compute_seconds += cost;
+      ++result.num_tasks;
+      if (!potrf) note_read(shared, end);
+      if (gemm) note_read(panel, end);
     }
-
-    for (std::size_t m = k + 1; m < nt; ++m) {
-      const TileInfo& panel_m = a.at(m, k);
-      {
-        const std::size_t exec_node = grid.owner(m, m);
-        const double ready = read_operand(m, k, exec_node);
-        const double cost =
-            panel_m.lowrank ? costs.lr_syrk(panel_m.rank) : costs.dense_syrk();
-        const double end = execute(m, m, ready, cost);
-        note_read(m, k, end);
-      }
-      for (std::size_t n = k + 1; n < m; ++n) {
-        const TileInfo& panel_n = a.at(n, k);
-        const TileInfo& out = a.at(m, n);
-        const std::size_t exec_node = grid.owner(m, n);
-        const double ready =
-            std::max(read_operand(m, k, exec_node), read_operand(n, k, exec_node));
-        double cost;
-        if (out.lowrank) {
-          const std::size_t r =
-              std::max({out.rank, panel_m.lowrank ? panel_m.rank : out.rank,
-                        panel_n.lowrank ? panel_n.rank : out.rank});
-          cost = costs.lr_gemm(r);
-        } else if (panel_m.lowrank || panel_n.lowrank) {
-          const std::size_t r = std::min(panel_m.lowrank ? panel_m.rank : a.tile_size(),
-                                         panel_n.lowrank ? panel_n.rank : a.tile_size());
-          cost = costs.mixed_gemm_dense_out(r, out.precision);
-        } else {
-          cost = costs.dense_gemm(out.precision);
-        }
-        const double end = execute(m, n, ready, cost);
-        note_read(m, k, end);
-        note_read(n, k, end);
-      }
-    }
-  }
+  });
 
   double makespan = 0.0;
   for (auto& c : clocks) makespan = std::max(makespan, c.last_write_end);

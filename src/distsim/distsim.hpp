@@ -6,11 +6,12 @@
 // tile Cholesky (Algorithm 1 + TLR variants), a 2D block-cyclic tile
 // distribution (the layout PaRSEC/DPLASMA use), a node model calibrated on
 // the real kernel timings (perfmodel::KernelModel), and a latency/bandwidth
-// link model standing in for TofuD. The simulator replays the DAG in
-// dependency order, charging compute time on the owner node's cores and
-// transfer time for every remote operand — producing makespans whose shape
-// across node counts mirrors the paper's strong-scaling figures, including
-// the flattening when the DAG runs out of concurrency (Fig. 11).
+// link model standing in for TofuD. The simulator walks the one Algorithm-1
+// task list (cholesky/cholesky_dag.hpp) that the single-process and the
+// distributed factorizations run, charging compute time on the owner node's
+// cores and transfer time for every remote operand — producing makespans
+// whose shape across node counts mirrors the paper's strong-scaling figures,
+// including the flattening when the DAG runs out of concurrency (Fig. 11).
 #pragma once
 
 #include <cstddef>
@@ -97,10 +98,12 @@ class TileStructure {
   std::vector<TileInfo> tiles_;  // packed lower triangle
 };
 
-/// Simulate the distributed tile Cholesky over the structure. The DAG is
-/// identical to tile_cholesky_dense/tlr; kernel costs come from the node
-/// model, transfers from the link model whenever an operand tile's owner
-/// differs from the task's owner (the output tile's node).
+/// Simulate the distributed tile Cholesky over the structure by walking
+/// cholesky::for_each_cholesky_task under the grid's owner — the task list
+/// tile_cholesky_dense/tlr and the rank engine run. Each update of a gemm
+/// batch is charged as its own task; kernel costs come from the node model,
+/// transfers from the link model whenever an operand tile's owner differs
+/// from the task's owner (the output tile's node).
 SimResult simulate_cholesky(const TileStructure& a, const ProcessGrid& grid,
                             const NodeModel& node, const LinkModel& link);
 

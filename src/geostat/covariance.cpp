@@ -34,19 +34,25 @@ double matern_norm(double nu) {
 
 /// out(i, j) = variance * corr(d / range) with d the planar distance of
 /// rows[i] and cols[j], plus the nugget where d = 0. The distance and scaling
-/// are operator()'s, so a closed-form corr gives operator()'s bits.
+/// are operator()'s, so a closed-form corr gives operator()'s bits. When rows
+/// and cols are the same span (a diagonal tile) only i >= j is evaluated and
+/// mirrored: hypot(x1 - x2, y1 - y2) is symmetric, so the copy is exact.
 template <class Corr>
 void fill_isotropic(std::span<const Location> rows, std::span<const Location> cols,
                     Span2D<double> out, double variance, double range, double nugget,
                     Corr corr) {
+  const bool symmetric = rows.data() == cols.data() && rows.size() == cols.size();
   for (std::size_t j = 0; j < cols.size(); ++j) {
     const Location b = cols[j];
     double* col = &out(0, j);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t i = symmetric ? j : 0; i < rows.size(); ++i) {
       const double d = mathx::euclidean2d(rows[i].x, rows[i].y, b.x, b.y);
       col[i] = (d == 0.0) ? variance + nugget : variance * corr(d / range);
     }
   }
+  if (!symmetric) return;
+  for (std::size_t j = 1; j < cols.size(); ++j)
+    for (std::size_t i = 0; i < j; ++i) out(i, j) = out(j, i);
 }
 
 void require_block_shape(std::span<const Location> rows, std::span<const Location> cols,

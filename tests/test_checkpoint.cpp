@@ -3,7 +3,9 @@
 // factor answers predictions to 0 ULP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -243,6 +245,54 @@ TEST(CheckpointRejects, CorruptedCrc) {
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
   }
   EXPECT_THROW(load_model_checkpoint(path), InvalidArgument);
+  std::remove(path.c_str());
+}
+
+/// Rewrite bytes of the META section's config (offset counted from its
+/// first byte, the variant) and re-seal the section CRC, so only the
+/// config's own validation can reject the file.
+void patch_config(const std::string& path, const std::string& kernel, std::size_t n_theta,
+                  std::size_t offset, const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::uint8_t> data;
+  {
+    std::ifstream in(path, std::ios::binary);
+    data.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // File header (magic, version, count) + META's (tag, reserved, size, crc).
+  constexpr std::size_t kPayload = 8 + 4 + 4 + 4 + 4 + 8 + 4;
+  constexpr std::size_t kCrc = kPayload - 4;
+  std::uint64_t size = 0;
+  std::memcpy(&size, data.data() + kPayload - 12, sizeof(size));
+  const std::size_t config = kPayload + 4 + kernel.size() + 8 + 8 * n_theta;
+  std::copy(bytes.begin(), bytes.end(), data.begin() + static_cast<long>(config + offset));
+  const std::uint32_t crc = crc32(data.data() + kPayload, size);
+  std::memcpy(data.data() + kCrc, &crc, sizeof(crc));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()), static_cast<std::streamsize>(data.size()));
+}
+
+TEST(CheckpointRejects, OutOfRangeConfigUnderValidCrc) {
+  const Problem p = make_problem(48);
+  const std::string path = temp_path("gsx_ckpt_config.ckpt");
+  // Config layout: variant u8, tile_size u64, mp_rule u8, two u64 bands,
+  // eps_target f64, allow_fp16 u8, allow_bf16 u8, tlr_tol f64, compression
+  // u8, rounding u8, ...
+  const std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> patches = {
+      {0, {3}},                          // variant
+      {1, {0, 0, 0, 0, 0, 0, 0, 0}},     // tile_size 0
+      {9, {0xFF}},                       // mp_rule
+      {10 + 16 + 8 + 2 + 8, {3}},        // compression
+      {10 + 16 + 8 + 2 + 8 + 1, {2}},    // rounding
+  };
+  // Control: re-sealing an unchanged byte keeps the file loadable.
+  save_model_checkpoint(path, make_checkpoint(p, dense_config()));
+  patch_config(path, "matern", p.theta.size(), 0, {0});
+  EXPECT_NO_THROW(load_model_checkpoint(path));
+  for (const auto& [offset, bytes] : patches) {
+    save_model_checkpoint(path, make_checkpoint(p, dense_config()));
+    patch_config(path, "matern", p.theta.size(), offset, bytes);
+    EXPECT_THROW(load_model_checkpoint(path), InvalidArgument) << "config offset " << offset;
+  }
   std::remove(path.c_str());
 }
 

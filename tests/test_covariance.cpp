@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <initializer_list>
 #include <span>
 #include <utility>
@@ -248,6 +249,34 @@ TEST(CovarianceBlockMatern, ClosedFormsAreBitIdentical) {
   const auto locs = perturbed_grid_locations(49, rng);
   for (const double nu : {0.5, 1.5, 2.5})
     expect_block_matches(MaternCovariance(0.9, 0.2, nu, 1e-3), locs, locs, 0.9, true);
+}
+
+TEST(CovarianceBlockMatern, DiagonalBlocksMirrorTheLowerTriangleExactly) {
+  // rows and cols the same span (a diagonal tile): only i >= j is
+  // evaluated. The result must equal the unaliased evaluation of an equal
+  // copy bit for bit, be exactly symmetric, and for closed forms equal
+  // operator(). A duplicate location puts a nugget off the diagonal.
+  Rng rng(37);
+  auto locs = perturbed_grid_locations(40, rng);
+  locs.push_back(locs[5]);
+  const std::vector<Location> copy = locs;
+  for (const double nu : {0.5, 1.5, 0.47}) {
+    const MaternCovariance model(1.3, 0.15, nu, 0.01);
+    const std::size_t n = locs.size();
+    la::Matrix<double> diag(n, n), full(n, n);
+    model.evaluate_block(locs, locs, diag.view());
+    model.evaluate_block(locs, copy, full.view());
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::memcmp(&diag(i, j), &full(i, j), sizeof(double)), 0)
+            << "nu=" << nu << " (" << i << ", " << j << ")";
+        EXPECT_EQ(diag(i, j), diag(j, i));
+        if (nu != 0.47) {
+          EXPECT_EQ(diag(i, j), model(locs[i], locs[j]));
+        }
+      }
+    EXPECT_EQ(diag(n - 1, 5), 1.3 + 0.01) << "nu=" << nu;
+  }
 }
 
 TEST(CovarianceBlockMatern, NuggetOnlyWhereLocationsCoincide) {

@@ -25,13 +25,18 @@
 #include <type_traits>
 #include <vector>
 
+#include "cholesky/factorize.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/dist_cholesky.hpp"
 #include "dist/placement.hpp"
 #include "dist/tile_pool.hpp"
 #include "dist/transport.hpp"
 #include "distsim/distsim.hpp"
+#include "geostat/assemble.hpp"
+#include "geostat/covariance.hpp"
+#include "geostat/locations.hpp"
 #include "la/matrix.hpp"
 #include "runtime/task_graph.hpp"
 #include "tile/sym_tile_matrix.hpp"
@@ -410,6 +415,55 @@ TEST(DistCholesky, TlrMatchesOracleAcross4Ranks) {
 
 TEST(DistCholesky, SingleRankDegenerateCase) {
   expect_matches_oracle(small_problem(), DistPolicy::Dense, 1);
+}
+
+DistProblemConfig ragged_problem() {
+  DistProblemConfig prob;
+  prob.n = 100;  // tile 16: the last tile row is 4 wide
+  prob.tile_size = 16;
+  return prob;
+}
+
+TEST(DistCholesky, RaggedDenseMatchesOracleAcross4Ranks) {
+  expect_matches_oracle(ragged_problem(), DistPolicy::Dense, 4);
+}
+
+TEST(DistCholesky, RaggedMixedPrecisionMatchesOracleAcross4Ranks) {
+  expect_matches_oracle(ragged_problem(), DistPolicy::MixedPrecision, 4);
+}
+
+TEST(DistCholesky, RaggedTlrMatchesOracleAcross4Ranks) {
+  expect_matches_oracle(ragged_problem(), DistPolicy::Tlr, 4);
+}
+
+TEST(DistCholesky, TlrPolicyDecidesLikeCompressOffbandOnRaggedTiles) {
+  // n = 1000 in tiles of 64 leaves a 40-row last tile row, whose rank cap
+  // is min(rows, cols) / 2 = 20 in both paths.
+  const std::size_t n = 1000, ts = 64;
+  Rng rng(7);
+  auto locs = geostat::perturbed_grid_locations(n, rng);
+  geostat::sort_morton(locs);
+  const geostat::MaternCovariance model(1.0, 0.1, 0.5, 1e-6);
+  tile::SymTileMatrix single(n, ts);
+  geostat::fill_covariance_tiles(single, model, locs, 2);
+  tile::SymTileMatrix dist = single;
+
+  DistPolicyOptions opts;
+  opts.policy = DistPolicy::Tlr;
+  const double global_norm = single.frobenius_norm();
+  const cholesky::CompressStats stats = cholesky::compress_offband(single, opts.tlr, 2);
+  ASSERT_GT(stats.lr_tiles, 0u);
+  ASSERT_GT(stats.reverted_tiles, 0u);
+  const std::size_t nt = dist.nt();
+  for (std::size_t j = 0; j < nt; ++j)
+    for (std::size_t i = j; i < nt; ++i) {
+      apply_dist_tile_policy(dist.at(i, j), i, j, nt, global_norm, opts);
+      std::vector<std::uint8_t> a, b;
+      tile::encode_tile(single.at(i, j), a);
+      tile::encode_tile(dist.at(i, j), b);
+      EXPECT_EQ(a, b) << "tile (" << i << ", " << j << ") rank " << single.at(i, j).rank()
+                      << " vs " << dist.at(i, j).rank();
+    }
 }
 
 TEST(DistCholesky, WeightedSumsqMatchesFullNorm) {
