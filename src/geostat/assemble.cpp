@@ -60,10 +60,14 @@ void fill_covariance_tiles(tile::SymTileMatrix& tiles, const CovarianceModel& mo
       },
       num_workers);
   if (obs::enabled()) {
+    // Diagonal tiles evaluate their lower triangle and mirror it.
     std::size_t elems = 0;
-    for (std::size_t j = 0; j < tiles.nt(); ++j)
-      for (std::size_t i = j; i < tiles.nt(); ++i)
+    for (std::size_t j = 0; j < tiles.nt(); ++j) {
+      const std::size_t r = tiles.at(j, j).rows();
+      elems += r * (r + 1) / 2;
+      for (std::size_t i = j + 1; i < tiles.nt(); ++i)
         elems += tiles.at(i, j).rows() * tiles.at(i, j).cols();
+    }
     count_cov_evals(elems);
   }
   if (obs::health_enabled()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "mathx/bessel.hpp"
@@ -32,16 +33,28 @@ double matern_norm(double nu) {
   return std::exp((1.0 - nu) * std::log(2.0) - std::lgamma(nu));
 }
 
+/// A diagonal tile: rows and cols are the same span, and only i >= j is
+/// evaluated.
+bool is_diagonal_block(std::span<const Location> rows, std::span<const Location> cols) {
+  return rows.data() == cols.data() && rows.size() == cols.size();
+}
+
+/// Copies the evaluated lower triangle of a diagonal tile to the upper one.
+/// Both kernels below compute entry (i, j) from the same operands as (j, i)
+/// would use, so the copy is exact.
+void mirror_lower(Span2D<double> out) {
+  for (std::size_t j = 1; j < out.cols(); ++j)
+    for (std::size_t i = 0; i < j; ++i) out(i, j) = out(j, i);
+}
+
 /// out(i, j) = variance * corr(d / range) with d the planar distance of
 /// rows[i] and cols[j], plus the nugget where d = 0. The distance and scaling
-/// are operator()'s, so a closed-form corr gives operator()'s bits. When rows
-/// and cols are the same span (a diagonal tile) only i >= j is evaluated and
-/// mirrored: hypot(x1 - x2, y1 - y2) is symmetric, so the copy is exact.
+/// are operator()'s, so a closed-form corr gives operator()'s bits.
 template <class Corr>
 void fill_isotropic(std::span<const Location> rows, std::span<const Location> cols,
                     Span2D<double> out, double variance, double range, double nugget,
                     Corr corr) {
-  const bool symmetric = rows.data() == cols.data() && rows.size() == cols.size();
+  const bool symmetric = is_diagonal_block(rows, cols);
   for (std::size_t j = 0; j < cols.size(); ++j) {
     const Location b = cols[j];
     double* col = &out(0, j);
@@ -50,9 +63,7 @@ void fill_isotropic(std::span<const Location> rows, std::span<const Location> co
       col[i] = (d == 0.0) ? variance + nugget : variance * corr(d / range);
     }
   }
-  if (!symmetric) return;
-  for (std::size_t j = 1; j < cols.size(); ++j)
-    for (std::size_t i = 0; i < j; ++i) out(i, j) = out(j, i);
+  if (symmetric) mirror_lower(out);
 }
 
 void require_block_shape(std::span<const Location> rows, std::span<const Location> cols,
@@ -116,9 +127,40 @@ void MaternCovariance::evaluate_block(std::span<const Location> rows,
   if (smoothness_ == 0.5) return fill([](double x) { return matern_05(x); });
   if (smoothness_ == 1.5) return fill([](double x) { return matern_15(x); });
   if (smoothness_ == 2.5) return fill([](double x) { return matern_25(x); });
-  fill([this](double x) {
-    return x > kMaternCutoff ? 0.0 : std::min(norm_ * bessel_.xnu_k(x), 1.0);
-  });
+  if (rows.empty() || cols.empty()) return;
+
+  // General smoothness, one column at a time: the scaled distances of the
+  // column and one Bessel call, both in vector lanes, then the normalizer,
+  // the clamp at 1, the cut-off and the nugget. The nugget goes where the
+  // coordinates coincide: the lane distance underflows to 0 for points
+  // ~1e-170 apart, which are not the same location (their correlation is 1
+  // to rounding).
+  const std::size_t m = rows.size();
+  const bool symmetric = is_diagonal_block(rows, cols);
+  std::vector<double> buf(3 * m);
+  double* rx = buf.data();
+  double* ry = rx + m;
+  double* xs = ry + m;
+  for (std::size_t i = 0; i < m; ++i) {
+    rx[i] = rows[i].x;
+    ry[i] = rows[i].y;
+  }
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    const double bx = cols[j].x, by = cols[j].y;
+    const std::size_t i0 = symmetric ? j : 0;
+    double* col = &out(0, j);
+    mathx::scaled_distances(rx + i0, ry + i0, bx, by, range_, xs + i0, m - i0);
+    bessel_.xnu_k(xs + i0, col + i0, m - i0);
+    for (std::size_t i = i0; i < m; ++i) {
+      const double x = xs[i];
+      // std::min(NaN, 1) is NaN: a NaN coordinate leaves a NaN entry for
+      // the assembly sentinel to count.
+      const double corr =
+          x > kMaternCutoff ? 0.0 : (x == 0.0 ? 1.0 : std::min(norm_ * col[i], 1.0));
+      col[i] = (rx[i] == bx && ry[i] == by) ? variance_ + nugget_ : variance_ * corr;
+    }
+  }
+  if (symmetric) mirror_lower(out);
 }
 
 std::vector<double> MaternCovariance::params() const {

@@ -61,9 +61,11 @@ class MaternCovariance final : public CovarianceModel {
   MaternCovariance(double variance, double range, double smoothness, double nugget = 0.0);
 
   double operator()(const Location& a, const Location& b) const override;
-  /// Tile kernel: the closed forms at nu = 0.5, 1.5, 2.5, otherwise
-  /// mathx::BesselKFixedOrder with the normalizer 2^{1-nu}/Gamma(nu)
-  /// computed once per theta.
+  /// Tile kernel: the closed forms at nu = 0.5, 1.5, 2.5, otherwise one
+  /// batched mathx::BesselKFixedOrder call per column, in vector lanes,
+  /// with the normalizer 2^{1-nu}/Gamma(nu) computed once per theta. The
+  /// nugget goes where the coordinates coincide; a NaN coordinate gives
+  /// NaN entries.
   void evaluate_block(std::span<const Location> rows, std::span<const Location> cols,
                       Span2D<double> out) const override;
   std::size_t num_params() const override { return 3; }

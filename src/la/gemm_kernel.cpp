@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "common/isa.hpp"
 #include "la/autotune.hpp"
 
 namespace gsx::la {
@@ -19,12 +19,6 @@ namespace {
 #else
 #define GSX_ALWAYS_INLINE inline
 #define GSX_RESTRICT
-#endif
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define GSX_X86_DISPATCH 1
-#else
-#define GSX_X86_DISPATCH 0
 #endif
 
 std::size_t env_size(const char* name, std::size_t fallback) noexcept {
@@ -229,9 +223,6 @@ GSX_GEMM_VARIANT(gemm_b32_32x8_portable, , bfloat16, float, 32, 8)
 GSX_GEMM_VARIANT(gemm_b32_48x8_portable, , bfloat16, float, 48, 8)
 
 #if GSX_X86_DISPATCH
-#define GSX_TARGET_AVX2 __attribute__((target("avx2,fma")))
-#define GSX_TARGET_AVX512 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw,fma")))
-
 GSX_GEMM_VARIANT(gemm_f64_32x8_avx2, GSX_TARGET_AVX2, double, double, 32, 8)
 GSX_GEMM_VARIANT(gemm_f64_8x4_avx2, GSX_TARGET_AVX2, double, double, 8, 4)
 GSX_GEMM_VARIANT(gemm_f64_32x6_avx2, GSX_TARGET_AVX2, double, double, 32, 6)
@@ -262,32 +253,6 @@ GSX_GEMM_VARIANT(gemm_b32_48x8_avx512, GSX_TARGET_AVX512, bfloat16, float, 48, 8
 #endif  // GSX_X86_DISPATCH
 
 #undef GSX_GEMM_VARIANT
-
-enum class Isa : int { Portable = 0, Avx2 = 1, Avx512 = 2 };
-
-Isa pick_isa() noexcept {
-  Isa best = Isa::Portable;
-#if GSX_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) best = Isa::Avx2;
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw"))
-    best = Isa::Avx512;
-#endif
-  // Opt-down override for tuning and A/B testing; never opt-up past what the
-  // CPU supports.
-  if (const char* s = std::getenv("GSX_GEMM_ISA")) {
-    const std::string_view v(s);
-    if (v == "portable") return Isa::Portable;
-    if (v == "avx2") return (best == Isa::Portable) ? best : Isa::Avx2;
-    if (v == "avx512") return best;
-  }
-  return best;
-}
-
-Isa active_isa() noexcept {
-  static const Isa isa = pick_isa();
-  return isa;
-}
 
 /// The compiled shape table for a scalar type: one function per (shape, ISA).
 /// Index 0 is the portable/AVX2 default... defaults per ISA are recorded
@@ -575,14 +540,7 @@ std::vector<GemmShape> gemm_kernel_shapes(Precision p) {
   return out;
 }
 
-const char* gemm_kernel_isa() noexcept {
-  switch (active_isa()) {
-    case Isa::Avx512: return "avx512";
-    case Isa::Avx2: return "avx2";
-    case Isa::Portable: break;
-  }
-  return "portable";
-}
+const char* gemm_kernel_isa() noexcept { return isa_name(active_isa()); }
 
 GemmDispatchInfo gemm_dispatch_info() noexcept {
   switch (active_isa()) {

@@ -1,10 +1,13 @@
 #include "mathx/bessel.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/isa.hpp"
+#include "mathx/lanes.hpp"
 
 namespace gsx::mathx {
 
@@ -233,6 +236,203 @@ double bessel_i(double nu, double x) {
 
 // ------------------------------------------------- fixed-order evaluation
 
+namespace {
+
+/// CF2 where the expansion failed its set-up check: the scalar formula, kept
+/// out of the vector kernels so that its bits do not depend on the ISA.
+[[gnu::noinline]] double cf2_xnu_k(double nu, double x) {
+  if (std::isnan(x)) return x;
+  if (std::isinf(x)) return 0.0;
+  return std::exp(nu * std::log(x) - x) * bessel_k_scaled(nu, x);
+}
+
+/// Temme's series did not converge within the precomputed terms (not
+/// reached for 0 < x < 2): the general routine.
+[[gnu::noinline]] double temme_fallback(double nu, double x) {
+  return std::pow(x, nu) * bessel_k(nu, x);
+}
+
+}  // namespace
+
+struct BesselKFixedOrder::Kernel {
+  /// Arguments partitioned per pass; the buffers stay on the stack.
+  static constexpr std::size_t kChunk = 256;
+  /// Vectors in flight through the Temme and Clenshaw recurrences, whose
+  /// dependent steps would leave the FMA units idle with one.
+  static constexpr std::size_t kGroup = 4;
+
+  /// Clenshaw sum of the expansion at G vectors of u (cheb_[0] is stored
+  /// halved).
+  template <class L, std::size_t G>
+  static void expansion(const BesselKFixedOrder& b, const typename L::V* u,
+                        typename L::V* out) {
+    using V = typename L::V;
+    V u2[G], b1[G], b2[G];
+    for (std::size_t g = 0; g < G; ++g) {
+      u2[g] = u[g] + u[g];
+      b1[g] = V(0.0);
+      b2[g] = V(0.0);
+    }
+    for (int j = b.cheb_len_ - 1; j >= 1; --j) {
+      const V c(b.cheb_[j]);
+      for (std::size_t g = 0; g < G; ++g) {
+        const V t = L::fma(u2[g], b1[g], c - b2[g]);
+        b2[g] = b1[g];
+        b1[g] = t;
+      }
+    }
+    for (std::size_t g = 0; g < G; ++g) out[g] = L::fma(u[g], b1[g], V(b.cheb_[0]) - b2[g]);
+  }
+
+  /// x >= 2, in place on G full vectors: exp((nu - 1/2) log x - x + E(4/x - 1)).
+  /// NaN stays NaN and +inf gives 0.
+  template <class L, std::size_t G>
+  static void chebyshev(const BesselKFixedOrder& b, double* x) {
+    using V = typename L::V;
+    V xv[G], u[G], e[G];
+    for (std::size_t g = 0; g < G; ++g) {
+      xv[g] = L::load(x + g * L::W);
+      u[g] = V(4.0) / xv[g] - V(1.0);
+    }
+    expansion<L, G>(b, u, e);
+    for (std::size_t g = 0; g < G; ++g) {
+      const V lx = lanes::log_lanes<L>(xv[g]);
+      L::store(x + g * L::W, lanes::exp_lanes<L>(L::fma(V(b.nu_ - 0.5), lx, e[g] - xv[g])));
+    }
+  }
+
+  /// x < 2, in place on G full vectors: Temme's series for K_xmu and
+  /// K_{xmu+1}, the upward recurrence to K_nu, times x^nu. sinh, cosh and
+  /// exp of e = xmu log(2/x) all come from one reduced exponential. Lanes
+  /// with x <= 0 give NaN.
+  template <class L, std::size_t G>
+  static void temme(const BesselKFixedOrder& b, double* x) {
+    using V = typename L::V;
+    using M = typename L::M;
+    V xv[G], lx2[G], ff[G], sum[G], sum1[G], p[G], q[G], cc[G], d2[G];
+    M positive[G], active[G];
+    for (std::size_t g = 0; g < G; ++g) {
+      xv[g] = L::load(x + g * L::W);
+      const V x2 = V(0.5) * xv[g];
+      lx2[g] = lanes::log_lanes<L>(x2);
+      const V dlog = -lx2[g];
+      const V e = V(b.xmu_) * dlog;
+      const lanes::ExpParts<L> ex = lanes::exp_reduce<L>(e);
+      const V s = L::pow2i(ex.k);
+      const V ep = L::fma(s, ex.pm, s);           // exp(e)
+      const V em = L::fma(s, ex.pm, s - V(1.0));  // exp(e) - 1
+      const V fact2 = L::select(L::lt(L::abs(e), V(kEps)), V(1.0),
+                                em * (em + V(2.0)) / (V(2.0) * ep * e));
+      const V cosh_e = V(1.0) + em * em / (V(2.0) * ep);
+      ff[g] = V(b.fct_) * (V(b.gam1_) * cosh_e + V(b.gam2_) * fact2 * dlog);
+      sum[g] = ff[g];
+      p[g] = V(b.half_gampl_inv_) * ep;
+      q[g] = V(b.half_gammi_inv_) / ep;
+      cc[g] = V(1.0);
+      d2[g] = x2 * x2;
+      sum1[g] = p[g];
+      positive[g] = L::gt(xv[g], V(0.0));
+      active[g] = positive[g];
+    }
+    // Each lane adds terms until its own sum has converged and then keeps
+    // its sums, so it ends with the value a batch of one would give. The G
+    // vectors' recurrences are independent and interleave.
+    for (int i = 1; i <= kTemmeTerms; ++i) {
+      bool any = false;
+      for (std::size_t g = 0; g < G; ++g) any = any || L::any(active[g]);
+      if (!any) break;
+      const V fi(static_cast<double>(i));
+      for (std::size_t g = 0; g < G; ++g) {
+        ff[g] = (fi * ff[g] + p[g] + q[g]) * V(b.inv_den_[i]);
+        cc[g] = cc[g] * (d2[g] * V(b.inv_i_[i]));
+        p[g] = p[g] * V(b.inv_minus_[i]);
+        q[g] = q[g] * V(b.inv_plus_[i]);
+        const V del = cc[g] * ff[g];
+        const V next = sum[g] + del;
+        sum[g] = L::select(active[g], next, sum[g]);
+        sum1[g] = L::select(active[g], sum1[g] + cc[g] * (p[g] - fi * ff[g]), sum1[g]);
+        active[g] = L::and_not(active[g], L::lt(L::abs(del), L::abs(next) * V(kEps)));
+      }
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+      const V xi2 = V(2.0) / xv[g];
+      V kmu = sum[g];
+      V k1 = sum1[g] * xi2;
+      for (int l = 1; l <= b.nl_; ++l) {
+        const V t = V(b.xmu_ + l) * xi2 * k1 + kmu;
+        kmu = k1;
+        k1 = t;
+      }
+      V r = lanes::exp_lanes<L>(V(b.nu_) * (lx2[g] + V(kLn2))) * kmu;
+      if (L::any(active[g])) {
+        double xs[L::W], rs[L::W], left[L::W];
+        L::store(xs, xv[g]);
+        L::store(rs, r);
+        L::store(left, L::select(active[g], V(1.0), V(0.0)));
+        for (std::size_t l = 0; l < L::W; ++l)
+          if (left[l] != 0.0) rs[l] = temme_fallback(b.nu_, xs[l]);
+        r = L::load(rs);
+      }
+      L::store(x + g * L::W,
+               L::select(positive[g], r, V(std::numeric_limits<double>::quiet_NaN())));
+    }
+  }
+
+  /// Partitions each chunk into x < 2 and the rest, runs each part in whole
+  /// vectors (the last one padded), and scatters the results back.
+  template <class L>
+  static void run(const BesselKFixedOrder& b, const double* x, double* out, std::size_t n) {
+    constexpr std::size_t W = L::W;
+    double tx[kChunk + W], cx[kChunk + W];
+    unsigned ti[kChunk], ci[kChunk];
+    for (std::size_t c0 = 0; c0 < n; c0 += kChunk) {
+      const std::size_t len = std::min(kChunk, n - c0);
+      std::size_t nt = 0, nc = 0;
+      for (std::size_t i = 0; i < len; ++i) {
+        const double xi = x[c0 + i];
+        const bool series = xi < kXMin;
+        tx[nt] = xi;
+        ti[nt] = static_cast<unsigned>(i);
+        cx[nc] = xi;
+        ci[nc] = static_cast<unsigned>(i);
+        nt += series;
+        nc += !series;
+      }
+      for (std::size_t i = nt; i % W != 0; ++i) tx[i] = 1.0;
+      std::size_t v = 0;
+      for (; v + kGroup * W <= nt; v += kGroup * W) temme<L, kGroup>(b, tx + v);
+      for (; v < nt; v += W) temme<L, 1>(b, tx + v);
+      if (b.cheb_len_ > 0) {
+        for (std::size_t i = nc; i % W != 0; ++i) cx[i] = kXMin;
+        for (v = 0; v + kGroup * W <= nc; v += kGroup * W) chebyshev<L, kGroup>(b, cx + v);
+        for (; v < nc; v += W) chebyshev<L, 1>(b, cx + v);
+      } else {
+        for (std::size_t i = 0; i < nc; ++i) cx[i] = cf2_xnu_k(b.nu_, cx[i]);
+      }
+      for (std::size_t k = 0; k < nt; ++k) out[c0 + ti[k]] = tx[k];
+      for (std::size_t k = 0; k < nc; ++k) out[c0 + ci[k]] = cx[k];
+    }
+  }
+
+  // One entry per ISA; `flatten` inlines the generic code and the lane
+  // operations into each (see mathx/lanes.hpp).
+  [[gnu::flatten]] static void portable(const BesselKFixedOrder& b, const double* x, double* out,
+                                        std::size_t n) {
+    run<lanes::PortableLanes>(b, x, out, n);
+  }
+#if GSX_X86_DISPATCH
+  GSX_TARGET_AVX2 [[gnu::flatten]] static void avx2(const BesselKFixedOrder& b, const double* x,
+                                                    double* out, std::size_t n) {
+    run<lanes::Avx2Lanes>(b, x, out, n);
+  }
+  GSX_TARGET_AVX512 [[gnu::flatten]] static void avx512(const BesselKFixedOrder& b,
+                                                        const double* x, double* out,
+                                                        std::size_t n) {
+    run<lanes::Avx512Lanes>(b, x, out, n);
+  }
+#endif
+};
+
 BesselKFixedOrder::BesselKFixedOrder(double nu) : nu_(std::fabs(nu)) {
   GSX_REQUIRE(std::isfinite(nu), "BesselKFixedOrder: nu must be finite");
   const Order o = split_order(nu_);
@@ -276,7 +476,10 @@ BesselKFixedOrder::BesselKFixedOrder(double nu) : nu_(std::fabs(nu)) {
   // ends of the range Matérn assembly uses.
   const auto close = [this](double x) {
     const double ref = std::sqrt(x) * bessel_k_scaled(nu_, x);
-    const double got = std::exp(expansion(4.0 / x - 1.0));
+    const double u = 4.0 / x - 1.0;
+    double sum = 0.0;
+    Kernel::expansion<lanes::PortableLanes, 1>(*this, &u, &sum);
+    const double got = std::exp(sum);
     return std::fabs(got - ref) <= kCheckTol * ref;  // false on NaN/Inf
   };
   bool ok = close(kXMin) && close(700.0);
@@ -285,65 +488,20 @@ BesselKFixedOrder::BesselKFixedOrder(double nu) : nu_(std::fabs(nu)) {
   if (!ok) cheb_len_ = 0;
 }
 
-double BesselKFixedOrder::expansion(double u) const {
-  // Clenshaw recurrence; cheb_[0] is stored halved.
-  const double u2 = 2.0 * u;
-  double b1 = 0.0, b2 = 0.0;
-  for (int j = cheb_len_ - 1; j >= 1; --j) {
-    const double t = u2 * b1 - b2 + cheb_[j];
-    b2 = b1;
-    b1 = t;
-  }
-  return u * b1 - b2 + cheb_[0];
-}
-
-double BesselKFixedOrder::temme(double x) const {
-  // k_pair's Temme branch with the order-only factors precomputed; sinh,
-  // cosh and exp of e all come from one exponential: expm1 near e = 0,
-  // where em + 1 is exact enough, and exp elsewhere, where ep - 1 is.
-  const double x2 = 0.5 * x;
-  const double lx2 = std::log(x2);
-  const double dlog = -lx2;
-  const double e = xmu_ * dlog;
-  double em, ep;  // exp(e) - 1 and exp(e)
-  if (std::fabs(e) < 0.5) {
-    em = std::expm1(e);
-    ep = em + 1.0;
-  } else {
-    ep = std::exp(e);
-    em = ep - 1.0;
-  }
-  const double fact2 = (std::fabs(e) < kEps) ? 1.0 : em * (em + 2.0) / (2.0 * ep * e);
-  const double cosh_e = 1.0 + em * em / (2.0 * ep);
-  double ff = fct_ * (gam1_ * cosh_e + gam2_ * fact2 * dlog);
-  double sum = ff;
-  double p = half_gampl_inv_ * ep;
-  double q = half_gammi_inv_ / ep;
-  double cc = 1.0;
-  const double d2 = x2 * x2;
-  double sum1 = p;
-  int i = 1;
-  for (; i <= kTemmeTerms; ++i) {
-    ff = (i * ff + p + q) * inv_den_[i];
-    cc *= d2 * inv_i_[i];
-    p *= inv_minus_[i];
-    q *= inv_plus_[i];
-    const double del = cc * ff;
-    sum += del;
-    sum1 += cc * (p - i * ff);
-    if (std::fabs(del) < std::fabs(sum) * kEps) break;
-  }
-  const double xnu = std::exp(nu_ * (lx2 + kLn2));
-  if (i > kTemmeTerms) return xnu * bessel_k(nu_, x);  // not reached for x < 2
-  const double kmu = k_upward(KPair{sum, sum1 * (2.0 / x)}, Order{nl_, xmu_}, x);
-  return xnu * kmu;
-}
-
 double BesselKFixedOrder::xnu_k(double x) const {
-  if (x < kXMin) return temme(x);
-  const double lx = std::log(x);
-  if (cheb_len_ == 0) return std::exp(nu_ * lx - x) * bessel_k_scaled(nu_, x);
-  return std::exp((nu_ - 0.5) * lx - x + expansion(4.0 / x - 1.0));
+  double r = 0.0;
+  xnu_k(&x, &r, 1);
+  return r;
+}
+
+void BesselKFixedOrder::xnu_k(const double* x, double* out, std::size_t n) const {
+  switch (active_isa()) {
+#if GSX_X86_DISPATCH
+    case Isa::Avx512: return Kernel::avx512(*this, x, out, n);
+    case Isa::Avx2: return Kernel::avx2(*this, x, out, n);
+#endif
+    default: return Kernel::portable(*this, x, out, n);
+  }
 }
 
 }  // namespace gsx::mathx

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 
 namespace gsx::mathx {
 
@@ -28,6 +29,11 @@ double bessel_k_scaled(double nu, double x);
 /// Steed's CF2. The expansion is fitted to CF2 at the Chebyshev nodes and
 /// checked at the points between them and at x = 2 and x = 700 against
 /// bessel_k_scaled; an order whose expansion misses the check keeps CF2.
+///
+/// Arguments are evaluated in vector lanes (AVX-512, AVX2 or portable, by
+/// the process's dispatched ISA; GSX_GEMM_ISA caps it), with polynomial
+/// exp/log in the lanes. A result's bits depend only on its argument and
+/// the ISA, not on its position in a batch or the batch's length.
 class BesselKFixedOrder {
  public:
   explicit BesselKFixedOrder(double nu);
@@ -36,8 +42,15 @@ class BesselKFixedOrder {
   /// check rejected it and each call runs CF2.
   [[nodiscard]] bool uses_expansion() const noexcept { return cheb_len_ > 0; }
 
-  /// x^nu K_nu(x) for finite x > 0; underflows to 0 for large x.
+  /// x^nu K_nu(x) for x > 0; underflows to 0 for large x, and is 0 at
+  /// x = +inf. NaN for NaN and for x <= 0. A batch of one.
   [[nodiscard]] double xnu_k(double x) const;
+
+  /// out[i] = xnu_k(x[i]) for i < n; `out` may equal `x`. x < 2 runs
+  /// Temme's series with each lane stopping at its own convergence, x >= 2
+  /// the expansion, several vectors at a time (CF2 per element where the
+  /// expansion failed its check).
+  void xnu_k(const double* x, double* out, std::size_t n) const;
 
  private:
   /// Largest relative error the set-up check accepts from the expansion.
@@ -45,8 +58,7 @@ class BesselKFixedOrder {
   static constexpr int kTemmeTerms = 40;
   static constexpr int kChebTerms = 32;
 
-  [[nodiscard]] double temme(double x) const;
-  [[nodiscard]] double expansion(double u) const;
+  struct Kernel;  // the lane kernels, defined in bessel.cpp
 
   double nu_ = 0.0;
   int nl_ = 0;        // upward recurrence steps from xmu to nu

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/isa.hpp"
 #include "mathx/bessel.hpp"
 
 namespace gsx::mathx {
@@ -333,6 +337,70 @@ TEST(BesselFixedOrder, MatchesBesselK) {
     for (double x : {1.9999999, 2.0, 2.0000001})
       EXPECT_NEAR(k.xnu_k(x), std::pow(x, nu) * bessel_k(nu, x), 2e-14 * k.xnu_k(x))
           << "nu=" << nu << " x=" << x;
+  }
+}
+
+TEST(BesselFixedOrder, BatchMatchesBesselK) {
+  // MatchesBesselK's grid and tolerance through one batch call per order, so
+  // that the expansion runs several vectors at a time. The tier-1 suite runs
+  // this binary once per dispatch path the host supports (GSX_GEMM_ISA).
+  const char* isa = isa_name(active_isa());
+  for (double nu : {0.0, 0.05, 0.44, 0.5, 0.999, 1.0, 1.5, 2.0, 3.3, 4.9}) {
+    const BesselKFixedOrder k(nu);
+    std::vector<double> xs;
+    for (double x = 1e-10; x < 700.0; x *= 1.37) xs.push_back(x);
+    std::vector<double> got(xs.size());
+    k.xnu_k(xs.data(), got.data(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const double x = xs[i];
+      const double ref = std::exp(nu * std::log(x) - x) * bessel_k_scaled(nu, x);
+      const double tol = (2e-14 + 4 * 2.2e-16 * (x + nu * std::fabs(std::log(x)))) * ref;
+      EXPECT_NEAR(got[i], ref, tol) << "isa=" << isa << " nu=" << nu << " x=" << x;
+    }
+  }
+}
+
+TEST(BesselFixedOrder, BatchIsLanePositionInvariant) {
+  // The same x at every offset of batches of 1 .. 2*8+1 (two AVX-512
+  // vectors and a tail), among neighbours on both sides of x = 2: its bits
+  // must equal the batch of one's.
+  const double probes[] = {1e-9, 0.37, 1.9999999, 2.0, 2.0000001, 7.5, 640.0};
+  const double fill[] = {0.05, 3.0, 1.2, 25.0, 0.9, 500.0, 1.7};
+  for (double nu : {0.44, 1.3, 15.0}) {
+    const BesselKFixedOrder k(nu);
+    for (const double x : probes) {
+      const double one = k.xnu_k(x);
+      for (std::size_t len = 1; len <= 17; ++len) {
+        for (std::size_t at = 0; at < len; ++at) {
+          std::vector<double> in(len), out(len);
+          for (std::size_t i = 0; i < len; ++i) in[i] = fill[(i + len) % 7];
+          in[at] = x;
+          k.xnu_k(in.data(), out.data(), len);
+          EXPECT_EQ(std::memcmp(&out[at], &one, sizeof(double)), 0)
+              << "nu=" << nu << " x=" << x << " len=" << len << " at=" << at
+              << " got=" << out[at] << " one=" << one;
+        }
+      }
+    }
+  }
+}
+
+TEST(BesselFixedOrder, BatchHandlesNonFiniteAndNonPositiveArguments) {
+  // No throw and no hang: NaN and x <= 0 give NaN, +inf gives 0, for the
+  // expansion and for the CF2 fallback (nu = 15), in place.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double nu : {0.44, 15.0}) {
+    const BesselKFixedOrder k(nu);
+    std::vector<double> v = {nan, 1.0, inf, 0.0, -1.0, 3.0, -inf};
+    EXPECT_NO_THROW(k.xnu_k(v.data(), v.data(), v.size()));
+    EXPECT_TRUE(std::isnan(v[0])) << "nu=" << nu;
+    EXPECT_EQ(v[1], k.xnu_k(1.0)) << "nu=" << nu;
+    EXPECT_EQ(v[2], 0.0) << "nu=" << nu;
+    EXPECT_TRUE(std::isnan(v[3])) << "nu=" << nu;
+    EXPECT_TRUE(std::isnan(v[4])) << "nu=" << nu;
+    EXPECT_EQ(v[5], k.xnu_k(3.0)) << "nu=" << nu;
+    EXPECT_TRUE(std::isnan(v[6])) << "nu=" << nu;
   }
 }
 

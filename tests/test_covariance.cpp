@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -12,6 +13,9 @@
 #include "geostat/assemble.hpp"
 #include "geostat/covariance.hpp"
 #include "la/lapack.hpp"
+#include "obs/health.hpp"
+#include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "tile/sym_tile_matrix.hpp"
 #include "test_utils.hpp"
 
@@ -353,6 +357,77 @@ TEST(CovarianceBlockMatern, FallsBackToCf2WhenTheExpansionMissesItsCheck) {
   const std::vector<double> theta = {1.0, 0.1, 15.0};
   m2.set_params(theta);
   expect_block_matches(m2, rows, origin, 1.0, false);
+}
+
+TEST(CovarianceBlockMatern, NuggetByCoordinatesNotByUnderflowedDistance) {
+  // Points ~1e-170 apart: dx^2 + dy^2 underflows to 0, hypot does not. They
+  // are distinct locations, so they get no nugget, and their correlation
+  // is 1 to rounding, as operator() says.
+  const MaternCovariance model(1.4, 0.2, 0.44, 0.3);
+  const std::vector<Location> locs = {
+      {0.0, 0.0, 0.0}, {1e-170, 0.0, 0.0}, {0.0, -3e-171, 0.0}, {1e-170, 0.0, 0.0}};
+  la::Matrix<double> blk(4, 4);
+  model.evaluate_block(locs, locs, blk.view());
+  for (std::size_t j = 0; j < 4; ++j)
+    for (std::size_t i = 0; i < 4; ++i) {
+      const double ref = model(locs[i], locs[j]);
+      EXPECT_NEAR(blk(i, j), ref, 1e-13 * ref) << "(" << i << ", " << j << ")";
+      const bool same = locs[i].x == locs[j].x && locs[i].y == locs[j].y;
+      EXPECT_EQ(blk(i, j), same ? 1.4 + 0.3 : 1.4) << "(" << i << ", " << j << ")";
+    }
+}
+
+TEST(CovarianceBlockMatern, NonFiniteCoordinates) {
+  // An infinite distance gives 0. A NaN coordinate gives NaN entries in its
+  // row and column, without throwing, and the assembly sentinel counts them.
+  const double inf = std::numeric_limits<double>::infinity();
+  const MaternCovariance model(1.0, 0.1, 0.44, 0.01);
+  Rng rng(43);
+  std::vector<Location> locs = perturbed_grid_locations(20, rng);
+  locs[3].x = inf;
+  locs[7].y = std::numeric_limits<double>::quiet_NaN();
+  const std::span<const Location> far(locs.data() + 3, 1);
+  la::Matrix<double> col(20, 1);
+  model.evaluate_block(locs, far, col.view());
+  for (std::size_t i = 0; i < 20; ++i)
+    if (i != 3 && i != 7) EXPECT_EQ(col(i, 0), 0.0) << "i=" << i;
+
+  la::Matrix<double> blk(20, 20);
+  EXPECT_NO_THROW(model.evaluate_block(locs, locs, blk.view()));
+  for (std::size_t j = 0; j < 20; ++j)
+    for (std::size_t i = 0; i < 20; ++i)
+      EXPECT_EQ(std::isnan(blk(i, j)), i == 7 || j == 7) << "(" << i << ", " << j << ")";
+
+  obs::reset_health();
+  obs::set_log_text_stream(nullptr);
+  obs::set_health_enabled(true);
+  tile::SymTileMatrix tiles(20, 8);
+  EXPECT_NO_THROW(fill_covariance_tiles(tiles, model, locs, 2));
+  // Stored tiles (block row >= block column) that hold row 7 or column 7:
+  // tile (0, 0) has 15 such entries, tiles (1, 0) and (2, 0) 8 and 4.
+  EXPECT_EQ(obs::nonfinite_total(), 27u);
+  obs::set_health_enabled(false);
+  obs::reset_health();
+  obs::reset_log();
+}
+
+TEST(Assemble, CovEvalsCountsTheLowerTriangle) {
+  // Diagonal tiles evaluate only i >= j, so every assembly path evaluates
+  // n(n+1)/2 entries; n = 50 in tiles of 16 leaves a ragged last tile.
+  Rng rng(47);
+  const auto locs = perturbed_grid_locations(50, rng);
+  const MaternCovariance model(1.0, 0.15, 0.44);
+  obs::Counter& evals = obs::Registry::instance().counter("assemble.cov_evals");
+  obs::set_enabled(true);
+  evals.reset();
+  (void)covariance_matrix(model, locs);
+  EXPECT_EQ(evals.value(), 50u * 51u / 2u);
+  evals.reset();
+  tile::SymTileMatrix tiles(50, 16);
+  fill_covariance_tiles(tiles, model, locs, 2);
+  EXPECT_EQ(evals.value(), 50u * 51u / 2u);
+  obs::set_enabled(false);
+  evals.reset();
 }
 
 TEST(CovarianceBlockDefault, OtherModelsAreBitIdentical) {

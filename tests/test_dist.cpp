@@ -436,6 +436,14 @@ TEST(DistCholesky, RaggedTlrMatchesOracleAcross4Ranks) {
   expect_matches_oracle(ragged_problem(), DistPolicy::Tlr, 4);
 }
 
+TEST(DistCholesky, GeneralSmoothnessTlrMatchesOracleAcross4Ranks) {
+  // nu = 0.44 assembles through the vector Bessel lanes on every rank and
+  // in the oracle; the factors must still agree bit for bit.
+  DistProblemConfig prob = ragged_problem();
+  prob.smoothness = 0.44;
+  expect_matches_oracle(prob, DistPolicy::Tlr, 4);
+}
+
 TEST(DistCholesky, TlrPolicyDecidesLikeCompressOffbandOnRaggedTiles) {
   // n = 1000 in tiles of 64 leaves a 40-row last tile row, whose rank cap
   // is min(rows, cols) / 2 = 20 in both paths.
